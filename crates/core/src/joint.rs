@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Sample};
 use crate::features::FeatureMapKind;
+use crate::loss::DmcpObjective;
 use crate::model::DmcpModel;
-use crate::train::{train_featurized, TrainConfig};
+use crate::train::{fit, TrainConfig};
 
 /// A single softmax over all `(c, d)` pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,15 +45,22 @@ impl JointLabelModel {
                 features: s.features,
             })
             .collect();
-        let inner = train_featurized(
-            samples,
-            kind,
-            dataset.profile_dim,
-            dataset.service_dim,
-            dataset.num_cus * dataset.num_durations,
+        let joint_classes = dataset.num_cus * dataset.num_durations;
+        let featurizer = dataset.featurizer(kind);
+        let (samples, weights) = config
+            .imbalance
+            .apply(samples, joint_classes, 1, config.seed);
+        let objective = DmcpObjective::new(
+            &samples,
+            weights.as_deref(),
+            featurizer.total_dim(),
+            joint_classes,
             1,
-            config,
-        );
+        )
+        .with_threads(config.threads);
+        let inner = fit(&objective, featurizer, config, None)
+            .expect("cold start cannot fail")
+            .model;
         Self {
             inner,
             num_cus: dataset.num_cus,

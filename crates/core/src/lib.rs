@@ -22,23 +22,27 @@
 //! * [`features`] — the history featurizer (also covers the MPP/SCP feature
 //!   maps used by the baselines, so the kernel choice is the only difference).
 //! * [`dataset`] — feature/label pairs extracted from patient records.
-//! * [`loss`] — the cross-entropy loss of Eq. 6, its gradient, and sample
-//!   weighting; the solvers use the fused single-pass
-//!   `value_and_gradient` kernel, and accumulation can be sharded over a
-//!   persistent worker pool ([`loss::DmcpObjective::with_threads`]) with a
-//!   bitwise-deterministic result for a fixed thread count.
-//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso, plus a plain-GD
-//!   path;
-//!   [`TrainConfig::threads`] selects the sample-parallel accumulation width.
+//! * [`loss`] — the cross-entropy loss of Eq. 6 and its gradient, evaluated
+//!   by one engine ([`loss::DmcpEngine`]) over a sample source: retained CSR
+//!   blocks ([`loss::DmcpObjective`]) or a cohort regenerated per pass
+//!   ([`StreamingDmcpObjective`]).  Every evaluation is one fused batched
+//!   fold, optionally over a persistent worker pool
+//!   ([`loss::DmcpEngine::with_threads`]), bitwise-deterministic for a fixed
+//!   thread count.
+//! * [`train`](mod@train) — Algorithm 1: ADMM + group lasso.  [`fit`] solves
+//!   any built objective; [`train()`], [`train_warm`] and
+//!   [`train_streamed`] compose over it.  [`TrainConfig::threads`] selects
+//!   the sample-parallel accumulation width.
 //! * [`model`] — the trained [`DmcpModel`]: conditional probabilities,
 //!   prediction, intensity evaluation, census simulation hooks.
 //! * [`imbalance`] — the weighted / hierarchical / synthetic pre-processing
 //!   strategies of Section 3.3.
 //! * [`joint`] — the joint `C·D`-class classifier the paper reports as an
 //!   over-fitting straw man.
-//! * [`stream`] — sharded and out-of-core training over streaming cohort
-//!   shards: bounded-memory objectives that reproduce the materialized path
-//!   bitwise ([`stream::train_sharded`], [`stream::train_streamed`]).
+//! * [`stream`] — the bounded-memory sample sources: featurized shard blocks
+//!   streamed from the cohort generator ([`ShardedSamples`]) and true
+//!   out-of-core regeneration ([`StreamingDmcpObjective`]); both reproduce
+//!   the materialized path bitwise.
 
 pub mod dataset;
 pub mod features;
@@ -52,10 +56,8 @@ pub mod train;
 pub use dataset::{Dataset, Sample};
 pub use features::{FeatureMapKind, HistoryFeaturizer, McpConfig};
 pub use imbalance::ImbalanceStrategy;
+pub use loss::{DmcpEngine, DmcpObjective};
 pub use model::DmcpModel;
 pub use pfp_optim::admm::{PlateauStop, WarmStart, WarmStartError};
-pub use stream::{
-    train_sharded, train_sharded_warm, train_streamed, train_streamed_warm, ShardedDmcpObjective,
-    ShardedSamples, StreamingDmcpObjective,
-};
-pub use train::{initial_theta, train, train_warm, SolverMode, TrainConfig, TrainReport};
+pub use stream::{train_streamed, ShardedSamples, StreamingDmcpObjective};
+pub use train::{fit, initial_theta, train, train_warm, SolverMode, TrainConfig, TrainReport};

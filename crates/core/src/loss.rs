@@ -1,4 +1,5 @@
-//! The discriminative loss of Eq. 6 and its gradient.
+//! The discriminative loss of Eq. 6, its gradient, and the one engine that
+//! evaluates it.
 //!
 //! With the log-linear intensities `λ_c = exp(θ_c⊤ f)` and
 //! `λ_d = exp(θ_d⊤ f)`, the conditional probabilities
@@ -16,73 +17,83 @@
 //! Optional per-sample weights implement the "weighted data" imbalance
 //! strategy (`w_i = 1 / log(1 + #{(c,d)})`, Section 3.3).
 //!
+//! # One engine, two sample sources
+//!
+//! [`DmcpEngine`] is the only [`SmoothObjective`] over DMCP samples.  It is
+//! generic over a [`SampleSource`] that hands it CSR blocks of samples in
+//! global sample order, and there are exactly two sources:
+//!
+//! * [`Retained`] — CSR shard blocks kept in memory.  [`DmcpObjective`] is
+//!   the engine over them: a materialized cohort is packed as **one** block
+//!   ([`DmcpObjective::new`]); a [`ShardedSamples`]
+//!   set is borrowed block by block ([`DmcpObjective::from_shards`]).
+//! * [`Regenerated`](crate::stream::Regenerated) — no sample data at all:
+//!   every pass regenerates and re-featurizes the cohort shard by shard
+//!   ([`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective)).
+//!
 //! # Fused, batched evaluation
 //!
-//! The ADMM solvers always need the value and the gradient *at the same
-//! point*, so [`DmcpObjective`] overrides
-//! [`SmoothObjective::value_and_gradient`] with a fused kernel: the linear
-//! scores `Θ⊤ f` are accumulated **once** per sample and feed both the
-//! cross-entropy terms and the softmax residuals, instead of the two
-//! separate score passes the `value` + `gradient` pair would pay.
-//!
-//! The fused path is also **batched**: the cohort's feature vectors are
-//! packed once at construction into a sample-major [`CsrMatrix`], and each
-//! evaluation walks a shard as one `CSR × Θ` scores pass, one softmax/
-//! residual sweep over the packed score block, and one `CSRᵀ` scatter —
-//! three linear passes over contiguous arrays instead of per-sample pointer
-//! chasing through `N` tiny sparse vectors, with the row kernels
-//! register-blocked over the `C + D` outputs.  The batched kernel performs
-//! the same floating-point operations in the same order as the per-sample
-//! loop ([`DmcpObjective::value_and_gradient_unbatched`]), which in turn
-//! matches the separate `value` + `gradient` pair, so all three agree
-//! bitwise in serial (property-tested in `tests/parallel_equivalence.rs`).
+//! `value`, `gradient` and `value_and_gradient` all run the same fused fold.
+//! Each block is evaluated as one `CSR × Θ` scores pass, one softmax/residual
+//! sweep over the packed score block (accumulating the cross-entropy), and
+//! one `CSRᵀ` scatter — three linear passes over contiguous arrays, with the
+//! row kernels register-blocked over the `C + D` outputs.  The batched kernel
+//! performs the same floating-point operations in the same order as the
+//! per-sample reference walk ([`value_and_gradient_unbatched`]), so the two
+//! agree bitwise in serial (property-tested in
+//! `tests/parallel_equivalence.rs`).
 //!
 //! # Parallel accumulation and determinism
 //!
 //! Both the loss and its gradient are means over independent per-sample
-//! terms, so [`DmcpObjective::with_threads`] shards the sample range into
-//! per-thread chunks ([`pfp_math::parallel::chunk_ranges`]), accumulates each
-//! chunk into a thread-local dense buffer, and combines the partials with a
-//! fixed-order tree reduction ([`pfp_math::parallel::tree_reduce_matrices`]).
-//! The chunk closures are dispatched to a persistent
-//! [`pfp_math::parallel::WorkerPool`] created once per objective (i.e. once
-//! per `train` call / ADMM solve), so repeated evaluations inside a solve pay
-//! a channel send rather than a thread spawn.  The contract:
+//! terms, so [`DmcpEngine::with_threads`] splits the global sample range into
+//! per-thread chunks ([`pfp_math::parallel::chunk_ranges`]), folds each chunk
+//! over the blocks it crosses into a thread-local dense buffer, and combines
+//! the partials with a fixed-order tree reduction
+//! ([`pfp_math::parallel::tree_reduce_matrices`]).  The chunk closures run on
+//! a persistent [`WorkerPool`] created once per engine (i.e. once per solve),
+//! so repeated evaluations pay a channel send rather than a thread spawn.
+//! The contract:
 //!
-//! * **Fixed thread count ⇒ bitwise-deterministic results.** Chunk
-//!   boundaries and the reduction order are pure functions of
-//!   `(samples.len(), threads)`, and [`pfp_math::parallel::WorkerPool::run`]
-//!   returns chunk results in submission order, so every run performs the
-//!   same floating-point operations in the same order.  `threads == 1` is
-//!   *exactly* the serial path.
+//! * **Fixed thread count ⇒ bitwise-deterministic results, for any source
+//!   and any block size.**  Chunk boundaries and the reduction order are pure
+//!   functions of `(total samples, threads)`, [`WorkerPool::run`] returns
+//!   chunk results in submission order, and the fused kernel carries its
+//!   loss accumulator across block boundaries — so where the blocks are cut
+//!   changes *where* the work is segmented but not a single floating-point
+//!   operation (property-tested in `tests/shard_equivalence.rs`).
+//!   `threads == 1` is *exactly* the serial path.
 //! * **Across thread counts ⇒ agreement to rounding only.** Different
-//!   shardings sum in different orders; the results agree to ≲1e-12
+//!   chunkings sum in different orders; the results agree to ≲1e-12
 //!   (enforced by the `parallel_equivalence` property tests), not bitwise.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
-use pfp_math::parallel::{chunk_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool};
-use pfp_math::softmax::{cross_entropy, softmax, softmax_in_place};
+use pfp_math::parallel::{
+    chunk_ranges, intersect_ranges, resolve_threads, tree_reduce_matrices, tree_reduce_sums,
+    WorkerPool,
+};
+use pfp_math::softmax::{cross_entropy, softmax_in_place};
 use pfp_math::{CsrMatrix, Matrix};
 use pfp_optim::SmoothObjective;
 
 use crate::dataset::Sample;
+use crate::stream::ShardedSamples;
 
-/// The fused batched kernel shared by the materialized [`DmcpObjective`] and
-/// the sharded/streaming objectives in [`crate::stream`]: one `CSR × Θ` scores
-/// pass over `rows`, one softmax/residual sweep (accumulating the weighted,
-/// un-normalised cross-entropy into `*loss`), one `CSRᵀ` scatter into `grad`.
+/// The fused batched kernel: one `CSR × Θ` scores pass over `rows`, one
+/// softmax/residual sweep (accumulating the weighted, un-normalised
+/// cross-entropy into `*loss`), one `CSRᵀ` scatter into `grad`.
 ///
 /// `rows` indexes into `csr`; `label_of` / `weight_of` map a csr row index to
-/// its `(cu, duration)` labels and sample weight (sharded callers translate
-/// local to global indices in the closures).  Carrying `loss` as an
+/// its `(cu, duration)` labels and sample weight.  Carrying `loss` as an
 /// accumulator — instead of returning it — is what makes a chunk *segmented*
-/// across several shard blocks bitwise-identical to the same chunk evaluated
-/// as one block: the loss additions, each row's softmax, and the scatter
-/// updates happen in the same order either way (per-row score equality across
+/// across several blocks bitwise-identical to the same chunk evaluated as one
+/// block: the loss additions, each row's softmax, and the scatter updates
+/// happen in the same order either way (per-row score equality across
 /// sub-ranges is property-tested in `pfp-math`'s csr module).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_csr_block(
+fn fused_csr_block(
     csr: &CsrMatrix,
     theta: &Matrix,
     rows: Range<usize>,
@@ -111,33 +122,220 @@ pub(crate) fn fused_csr_block(
         csr.accumulate_scores_range(theta, rows.clone(), &mut block);
         for (local, i) in rows.clone().enumerate() {
             let (cu_label, duration_label) = label_of(i);
-            let row = &mut block[local * k..(local + 1) * k];
-            let (cu_scores, dur_scores) = row.split_at_mut(num_cus);
             let w = weight_of(i);
-            let wn = w / norm;
-            let mut l = cross_entropy(cu_scores, cu_label);
-            softmax_in_place(cu_scores);
-            for (c, out) in cu_scores.iter_mut().enumerate() {
-                *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
-            }
-            if num_durations > 1 {
-                l += cross_entropy(dur_scores, duration_label);
-                softmax_in_place(dur_scores);
-                for (d, out) in dur_scores.iter_mut().enumerate() {
-                    *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                dur_scores[0] = 0.0;
-            }
-            *loss += w * l;
+            *loss += w * residual_in_place(
+                &mut block[local * k..(local + 1) * k],
+                num_cus,
+                cu_label,
+                duration_label,
+                w / norm,
+            );
         }
         csr.scatter_gradient_range(&block, rows, grad);
     })
 }
 
-/// The multinomial two-head cross-entropy objective over featurized samples.
-pub struct DmcpObjective<'a> {
-    samples: &'a [Sample],
+/// Turn one sample's scores `Θ⊤ f` (destination head first) into its
+/// softmax residuals scaled by `wn`, in place, and return its unweighted
+/// two-head cross-entropy.  A single-class duration head contributes neither
+/// loss nor gradient.
+fn residual_in_place(
+    scores: &mut [f64],
+    num_cus: usize,
+    cu_label: usize,
+    duration_label: usize,
+    wn: f64,
+) -> f64 {
+    let (cu_scores, dur_scores) = scores.split_at_mut(num_cus);
+    let mut l = cross_entropy(cu_scores, cu_label);
+    softmax_in_place(cu_scores);
+    for (c, out) in cu_scores.iter_mut().enumerate() {
+        *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
+    }
+    if dur_scores.len() > 1 {
+        l += cross_entropy(dur_scores, duration_label);
+        softmax_in_place(dur_scores);
+        for (d, out) in dur_scores.iter_mut().enumerate() {
+            *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
+        }
+    } else {
+        dur_scores[0] = 0.0;
+    }
+    l
+}
+
+/// The fused evaluation as a per-sample walk over the individual
+/// [`pfp_math::SparseVec`]s, bypassing the CSR packing and the thread pool.
+///
+/// This is the reference the engine's batched kernel is verified against
+/// (bitwise, in the property suites) and the "before" side of the batched
+/// kernel timings in `repro_fused_speedup`; solvers never call it.  Returns
+/// the mean loss and overwrites `grad` with its gradient.
+pub fn value_and_gradient_unbatched(
+    samples: &[Sample],
+    weights: Option<&[f64]>,
+    num_cus: usize,
+    theta: &Matrix,
+    grad: &mut Matrix,
+) -> f64 {
+    let norm = total_weight(samples.len(), weights);
+    grad.fill(0.0);
+    let mut scores = vec![0.0; theta.cols()];
+    let mut loss = 0.0;
+    for (i, s) in samples.iter().enumerate() {
+        scores.fill(0.0);
+        s.features.accumulate_scores(theta, &mut scores);
+        let w = weights.map_or(1.0, |w| w[i]);
+        loss += w * residual_in_place(&mut scores, num_cus, s.cu_label, s.duration_label, w / norm);
+        s.features.scatter_gradient(&scores, grad);
+    }
+    loss / norm
+}
+
+/// Normalising constant Σ_i w_i (or the sample count when unweighted).
+fn total_weight(len: usize, weights: Option<&[f64]>) -> f64 {
+    match weights {
+        Some(w) => w.iter().sum::<f64>().max(1e-12),
+        None => len as f64,
+    }
+}
+
+/// One CSR block of samples plus their labels.  Row `i` of `csr` is global
+/// sample `start + i`.
+#[derive(Debug, Clone)]
+pub struct SampleShard {
+    /// Global index of this shard's first sample.
+    pub start: usize,
+    /// Feature rows of the shard's samples.
+    pub csr: CsrMatrix,
+    /// Destination labels (parallel to the CSR rows).
+    pub cu_labels: Vec<u32>,
+    /// Duration-class labels (parallel to the CSR rows).
+    pub duration_labels: Vec<u32>,
+}
+
+impl SampleShard {
+    /// An empty block whose first row will be global sample `start`.
+    pub(crate) fn empty(start: usize, num_features: usize) -> Self {
+        Self {
+            start,
+            csr: CsrMatrix::with_dim(num_features),
+            cu_labels: Vec::new(),
+            duration_labels: Vec::new(),
+        }
+    }
+
+    /// Pack featurized samples into one block starting at global sample
+    /// `start`.
+    ///
+    /// # Panics
+    /// Panics if a label is out of range or a feature vector has the wrong
+    /// dimension.
+    pub(crate) fn pack(
+        start: usize,
+        samples: &[Sample],
+        num_features: usize,
+        num_cus: usize,
+        num_durations: usize,
+    ) -> Self {
+        let mut shard = Self::empty(start, num_features);
+        for s in samples {
+            assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
+            assert!(s.cu_label < num_cus, "destination label out of range");
+            assert!(
+                s.duration_label < num_durations,
+                "duration label out of range"
+            );
+            shard.push(&s.features, s.cu_label, s.duration_label);
+        }
+        shard
+    }
+
+    /// Append one sample's row and labels.
+    pub(crate) fn push(
+        &mut self,
+        features: &pfp_math::SparseVec,
+        cu_label: usize,
+        duration_label: usize,
+    ) {
+        self.csr.push_row(features);
+        self.cu_labels.push(cu_label as u32);
+        self.duration_labels.push(duration_label as u32);
+    }
+
+    /// Drop all rows, keeping the allocations, and restart at global sample
+    /// `start`.
+    pub(crate) fn reset(&mut self, start: usize) {
+        self.start = start;
+        self.csr.clear_rows();
+        self.cu_labels.clear();
+        self.duration_labels.clear();
+    }
+
+    /// Number of samples in the shard.
+    pub fn len(&self) -> usize {
+        self.csr.rows()
+    }
+
+    /// Whether the shard holds no samples (possible: a patient shard whose
+    /// patients all have single-stay trajectories yields zero transitions).
+    pub fn is_empty(&self) -> bool {
+        self.csr.rows() == 0
+    }
+
+    /// The global sample range this shard covers.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len()
+    }
+}
+
+/// Where the engine's samples come from: CSR blocks handed out in global
+/// sample order.
+pub trait SampleSource: Sync {
+    /// Total number of samples `N`.
+    fn total_samples(&self) -> usize;
+
+    /// Call `visit(block, rows)` for every block overlapping the global
+    /// sample range `range`, in sample order, where `rows` is the overlap in
+    /// the block's local row indices.  The blocks tile `range` exactly.
+    fn for_each_block(&self, range: Range<usize>, visit: impl FnMut(&SampleShard, Range<usize>));
+}
+
+/// Retained CSR shard blocks: owned (a materialized cohort packed as one
+/// block) or borrowed from a [`ShardedSamples`] set.
+pub struct Retained<'a>(Cow<'a, [SampleShard]>);
+
+impl SampleSource for Retained<'_> {
+    fn total_samples(&self) -> usize {
+        self.0.last().map_or(0, |s| s.range().end)
+    }
+
+    fn for_each_block(
+        &self,
+        range: Range<usize>,
+        mut visit: impl FnMut(&SampleShard, Range<usize>),
+    ) {
+        let first = self.0.partition_point(|s| s.range().end <= range.start);
+        for shard in &self.0[first..] {
+            if shard.start >= range.end {
+                break;
+            }
+            let overlap = intersect_ranges(&range, &shard.range());
+            if !overlap.is_empty() {
+                visit(
+                    shard,
+                    overlap.start - shard.start..overlap.end - shard.start,
+                );
+            }
+        }
+    }
+}
+
+/// The multinomial two-head cross-entropy objective, folded over the CSR
+/// blocks of a [`SampleSource`].  See the module docs for the evaluation
+/// scheme and the determinism contract.
+pub struct DmcpEngine<'a, S> {
+    source: S,
     weights: Option<&'a [f64]>,
     num_features: usize,
     num_cus: usize,
@@ -147,63 +345,89 @@ pub struct DmcpObjective<'a> {
     /// Normalising constant Σ_i w_i (or the sample count when unweighted),
     /// cached at construction so evaluations do not pay an O(n) sum per call.
     total_weight: f64,
-    /// Persistent workers for the sharded paths, created once per objective
-    /// (`None` on the serial path) and reused by every evaluation of a solve.
+    /// Persistent workers, created once per engine (`None` on the serial
+    /// path) and reused by every evaluation of a solve.
     pool: Option<WorkerPool>,
-    /// Sample-major CSR packing of every sample's feature vector, built once
-    /// at construction; the fused evaluation walks this instead of the
-    /// individual [`pfp_math::SparseVec`]s.
-    csr: CsrMatrix,
 }
 
+/// The engine over retained CSR blocks: a materialized cohort or a
+/// [`ShardedSamples`] set.
+pub type DmcpObjective<'a> = DmcpEngine<'a, Retained<'a>>;
+
 impl<'a> DmcpObjective<'a> {
-    /// Build an objective.
+    /// Build the objective over featurized samples, packed once into a
+    /// single CSR block.
     ///
     /// # Panics
     /// Panics if `samples` is empty, a label is out of range, a feature vector
     /// has the wrong dimension, or `weights` (when given) has the wrong length.
     pub fn new(
-        samples: &'a [Sample],
+        samples: &[Sample],
+        weights: Option<&'a [f64]>,
+        num_features: usize,
+        num_cus: usize,
+        num_durations: usize,
+    ) -> Self {
+        let block = SampleShard::pack(0, samples, num_features, num_cus, num_durations);
+        DmcpEngine::build(
+            Retained(Cow::Owned(vec![block])),
+            weights,
+            num_features,
+            num_cus,
+            num_durations,
+        )
+    }
+
+    /// Build the objective over a shard set's retained blocks, borrowing
+    /// them.  Reproduces [`new`](Self::new) on the same samples bitwise at a
+    /// fixed thread count, for any shard size.
+    ///
+    /// # Panics
+    /// Panics if the shard set holds zero samples, or `weights` (when given)
+    /// has the wrong length or a negative entry.
+    pub fn from_shards(shards: &'a ShardedSamples, weights: Option<&'a [f64]>) -> Self {
+        DmcpEngine::build(
+            Retained(Cow::Borrowed(shards.shards())),
+            weights,
+            shards.num_features(),
+            shards.num_cus(),
+            shards.num_durations(),
+        )
+    }
+}
+
+impl<'a, S: SampleSource> DmcpEngine<'a, S> {
+    /// Wrap a source, validating the weights.
+    ///
+    /// # Panics
+    /// Panics if the source holds zero samples, or `weights` (when given) has
+    /// the wrong length or a negative entry.
+    pub(crate) fn build(
+        source: S,
         weights: Option<&'a [f64]>,
         num_features: usize,
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
         assert!(
-            !samples.is_empty(),
-            "cannot build an objective over zero samples"
-        );
-        assert!(
             num_cus >= 1 && num_durations >= 1,
             "need at least one class per head"
         );
-        for s in samples {
-            assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
-            assert!(s.cu_label < num_cus, "destination label out of range");
-            assert!(
-                s.duration_label < num_durations,
-                "duration label out of range"
-            );
-        }
+        let n = source.total_samples();
+        assert!(n > 0, "cannot build an objective over zero samples");
         if let Some(w) = weights {
-            assert_eq!(w.len(), samples.len(), "weights length mismatch");
+            assert_eq!(w.len(), n, "weights length mismatch");
             assert!(w.iter().all(|&x| x >= 0.0), "weights must be non-negative");
         }
-        let total_weight = match weights {
-            Some(w) => w.iter().sum::<f64>().max(1e-12),
-            None => samples.len() as f64,
-        };
-        let csr = CsrMatrix::from_rows(num_features, samples.iter().map(|s| &s.features));
         Self {
-            samples,
+            source,
             weights,
             num_features,
             num_cus,
             num_durations,
             threads: 1,
-            total_weight,
+            total_weight: total_weight(n, weights),
             pool: None,
-            csr,
         }
     }
 
@@ -211,15 +435,15 @@ impl<'a> DmcpObjective<'a> {
     ///
     /// `0` resolves to the available parallelism; any other value is used
     /// as-is (capped at the sample count — a cohort smaller than the thread
-    /// count simply runs one sample per thread).  A sharded objective spawns
-    /// its [`WorkerPool`] here, **once**; every subsequent evaluation of the
-    /// ADMM solve reuses the same workers.  See the module docs for the
-    /// determinism contract.
+    /// count simply runs one sample per thread).  The [`WorkerPool`] is
+    /// spawned here, **once**; every subsequent evaluation of the ADMM solve
+    /// reuses the same workers.  See the module docs for the determinism
+    /// contract.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = pfp_math::parallel::resolve_threads(threads);
-        // A pool wider than the shard count would leave workers permanently
-        // idle: chunk_ranges caps the shards at the sample count.
-        let workers = self.threads.min(self.samples.len());
+        self.threads = resolve_threads(threads);
+        // A pool wider than the chunk count would leave workers permanently
+        // idle: chunk_ranges caps the chunks at the sample count.
+        let workers = self.threads.min(self.source.total_samples());
         self.pool = (workers > 1).then(|| WorkerPool::new(workers));
         self
     }
@@ -229,259 +453,106 @@ impl<'a> DmcpObjective<'a> {
         self.threads
     }
 
+    /// The sample source the engine folds over.
+    pub(crate) fn source(&self) -> &S {
+        &self.source
+    }
+
+    /// Total number of samples `N`.
+    pub fn total_samples(&self) -> usize {
+        self.source.total_samples()
+    }
+
+    /// Feature dimension `M`.
+    pub(crate) fn num_features(&self) -> usize {
+        self.num_features
+    }
+
+    /// Number of destination classes `C`.
+    pub(crate) fn num_cus(&self) -> usize {
+        self.num_cus
+    }
+
+    /// Number of duration classes `D`.
+    pub(crate) fn num_durations(&self) -> usize {
+        self.num_durations
+    }
+
     /// Number of output columns `C + D`.
     pub fn num_outputs(&self) -> usize {
         self.num_cus + self.num_durations
     }
 
     fn weight(&self, i: usize) -> f64 {
-        self.weights.map(|w| w[i]).unwrap_or(1.0)
+        self.weights.map_or(1.0, |w| w[i])
     }
 
-    /// Per-sample scores `Θ⊤ f`, split into `(destination, duration)` halves.
-    pub fn scores(&self, theta: &Matrix, sample: &Sample) -> (Vec<f64>, Vec<f64>) {
-        let mut all = vec![0.0; self.num_outputs()];
-        sample.features.accumulate_scores(theta, &mut all);
-        let dur = all.split_off(self.num_cus);
-        (all, dur)
-    }
-
-    /// Weighted loss accumulated over one contiguous sample range (not yet
-    /// divided by the total weight).  Both the serial and the sharded paths
-    /// run exactly this, so `threads == 1` reproduces the serial result
-    /// bitwise.
-    fn value_range(&self, theta: &Matrix, range: Range<usize>) -> f64 {
+    /// Fold the fused kernel over the blocks a global chunk crosses, carrying
+    /// the loss accumulator so the chunk is bitwise-equal to an un-segmented
+    /// evaluation of the same sample range.  Returns the weighted loss, not
+    /// yet normalised.
+    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
         let mut loss = 0.0;
-        for i in range {
-            let s = &self.samples[i];
-            let (cu_scores, dur_scores) = self.scores(theta, s);
-            let mut l = cross_entropy(&cu_scores, s.cu_label);
-            if self.num_durations > 1 {
-                l += cross_entropy(&dur_scores, s.duration_label);
-            }
-            loss += self.weight(i) * l;
-        }
+        self.source.for_each_block(chunk, |block, rows| {
+            fused_csr_block(
+                &block.csr,
+                theta,
+                rows,
+                self.num_cus,
+                self.num_durations,
+                self.total_weight,
+                |i| {
+                    (
+                        block.cu_labels[i] as usize,
+                        block.duration_labels[i] as usize,
+                    )
+                },
+                |i| self.weight(block.start + i),
+                grad,
+                &mut loss,
+            );
+        });
         loss
     }
 
-    /// Gradient contribution of one contiguous sample range, scattered into
-    /// `grad` (which the caller zeroes).  Each sample's softmax residual is
-    /// scaled by `weight_i / total_weight` before the sparse scatter, exactly
-    /// as in the original serial loop.
-    fn gradient_range(&self, theta: &Matrix, range: Range<usize>, grad: &mut Matrix) {
-        let norm = self.total_weight;
-        let mut contrib = vec![0.0; self.num_outputs()];
-        for i in range {
-            let s = &self.samples[i];
-            let (cu_scores, dur_scores) = self.scores(theta, s);
-            let p_cu = softmax(&cu_scores);
-            let w = self.weight(i) / norm;
-            for c in 0..self.num_cus {
-                contrib[c] = w * (p_cu[c] - if c == s.cu_label { 1.0 } else { 0.0 });
+    /// The fused fold behind all three evaluation entry points: per-thread
+    /// chunks on the persistent pool, partials tree-reduced in chunk order.
+    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
+        let n = self.source.total_samples();
+        let chunks = chunk_ranges(n, self.threads);
+        let pool = match &self.pool {
+            Some(pool) if chunks.len() > 1 => pool,
+            _ => {
+                grad.fill(0.0);
+                return self.fold_chunk(theta, 0..n, grad) / self.total_weight;
             }
-            if self.num_durations > 1 {
-                let p_dur = softmax(&dur_scores);
-                for d in 0..self.num_durations {
-                    contrib[self.num_cus + d] =
-                        w * (p_dur[d] - if d == s.duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                contrib[self.num_cus] = 0.0;
-            }
-            s.features.scatter_gradient(&contrib, grad);
-        }
-    }
-
-    /// Fused loss-and-gradient contribution of one contiguous sample range,
-    /// walking the per-sample [`pfp_math::SparseVec`]s.
-    ///
-    /// This is the reference implementation of the fused kernel; the hot path
-    /// is [`Self::value_and_gradient_range_batched`], which performs the same
-    /// floating-point operations in the same order over the CSR packing.
-    /// Computes the linear scores `Θ⊤ f` **once** per sample and feeds them to
-    /// both the cross-entropy terms (returned, weighted, not yet normalised)
-    /// and the softmax residuals scattered into `grad` — where the separate
-    /// [`Self::value_range`] / [`Self::gradient_range`] pair accumulates the
-    /// scores twice.  `scores` and `contrib` are caller-provided scratch
-    /// buffers of length `C + D`, reused across every sample of the range
-    /// (the separate paths allocate two fresh `Vec`s per sample).
-    ///
-    /// Operation order per element is identical to the separate paths, so the
-    /// fused results match them bitwise.
-    fn value_and_gradient_range_per_sample(
-        &self,
-        theta: &Matrix,
-        range: Range<usize>,
-        grad: &mut Matrix,
-        scores: &mut [f64],
-        contrib: &mut [f64],
-    ) -> f64 {
-        let norm = self.total_weight;
-        let mut loss = 0.0;
-        for i in range {
-            let s = &self.samples[i];
-            scores.fill(0.0);
-            s.features.accumulate_scores(theta, scores);
-            let (cu_scores, dur_scores) = scores.split_at_mut(self.num_cus);
-            let w = self.weight(i);
-            let wn = w / norm;
-            let mut l = cross_entropy(cu_scores, s.cu_label);
-            softmax_in_place(cu_scores);
-            for (c, out) in contrib[..self.num_cus].iter_mut().enumerate() {
-                *out = wn * (cu_scores[c] - if c == s.cu_label { 1.0 } else { 0.0 });
-            }
-            if self.num_durations > 1 {
-                l += cross_entropy(dur_scores, s.duration_label);
-                softmax_in_place(dur_scores);
-                for (d, out) in contrib[self.num_cus..].iter_mut().enumerate() {
-                    *out = wn * (dur_scores[d] - if d == s.duration_label { 1.0 } else { 0.0 });
-                }
-            } else {
-                contrib[self.num_cus] = 0.0;
-            }
-            loss += w * l;
-            s.features.scatter_gradient(contrib, grad);
-        }
-        loss
-    }
-
-    /// Fused loss-and-gradient contribution of one contiguous sample range,
-    /// batched over the CSR packing of the cohort — the hot kernel.
-    ///
-    /// Three linear passes instead of `2·range.len()` sparse-vector walks:
-    ///
-    /// 1. **`CSR × Θ`**: [`CsrMatrix::accumulate_scores_range`] fills a packed
-    ///    `range.len() × (C + D)` score block, register-blocked over the
-    ///    outputs.
-    /// 2. **Softmax sweep**: each sample's row of the block is turned in
-    ///    place into its weighted softmax residual, accumulating the
-    ///    cross-entropy loss along the way.
-    /// 3. **`CSRᵀ` scatter**: [`CsrMatrix::scatter_gradient_range`] scatters
-    ///    the whole residual block into `grad`.
-    ///
-    /// Per-element operation order matches
-    /// [`Self::value_and_gradient_range_per_sample`] exactly (each row's
-    /// scores, softmax and scatter happen in the same order; rows are visited
-    /// in the same order), so the batched results are bitwise identical.
-    fn value_and_gradient_range_batched(
-        &self,
-        theta: &Matrix,
-        range: Range<usize>,
-        grad: &mut Matrix,
-    ) -> f64 {
-        let mut loss = 0.0;
-        fused_csr_block(
-            &self.csr,
-            theta,
-            range,
-            self.num_cus,
-            self.num_durations,
-            self.total_weight,
-            |i| {
-                let s = &self.samples[i];
-                (s.cu_label, s.duration_label)
-            },
-            |i| self.weight(i),
-            grad,
-            &mut loss,
-        );
-        loss
-    }
-
-    /// The fused evaluation over the per-sample sparse vectors, bypassing the
-    /// batched CSR kernel — serial only.
-    ///
-    /// This is the reference the batched hot path is verified against
-    /// (bitwise in the property suite) and the "before" side of the batched
-    /// kernel timings in `repro_fused_speedup`; solvers never call it.
-    pub fn value_and_gradient_unbatched(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        grad.fill(0.0);
-        let mut scores = vec![0.0; self.num_outputs()];
-        let mut contrib = vec![0.0; self.num_outputs()];
-        let loss = self.value_and_gradient_range_per_sample(
-            theta,
-            0..self.samples.len(),
-            grad,
-            &mut scores,
-            &mut contrib,
-        );
-        loss / self.total_weight
-    }
-
-    /// The per-thread sample ranges for the current thread count.
-    fn shards(&self) -> Vec<Range<usize>> {
-        chunk_ranges(self.samples.len(), self.threads)
-    }
-
-    /// Run one closure per shard — on the persistent pool when this objective
-    /// is sharded, inline otherwise — returning results in shard order.
-    fn run_sharded<T, F>(&self, shards: Vec<Range<usize>>, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        match &self.pool {
-            Some(pool) => {
-                let task = &task;
-                pool.run(shards.into_iter().map(|r| move || task(r)).collect())
-            }
-            None => shards.into_iter().map(task).collect(),
-        }
+        };
+        let (rows, cols) = grad.shape();
+        let task = |chunk: Range<usize>| {
+            let mut partial = Matrix::zeros(rows, cols);
+            let loss = self.fold_chunk(theta, chunk, &mut partial);
+            (loss, partial)
+        };
+        let task = &task;
+        let partials = pool.run(chunks.into_iter().map(|c| move || task(c)).collect());
+        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
+        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
+        tree_reduce_sums(losses) / self.total_weight
     }
 }
 
-impl SmoothObjective for DmcpObjective<'_> {
+impl<S: SampleSource> SmoothObjective for DmcpEngine<'_, S> {
     fn value(&self, theta: &Matrix) -> f64 {
-        let shards = self.shards();
-        let loss = if shards.len() <= 1 {
-            self.value_range(theta, 0..self.samples.len())
-        } else {
-            tree_reduce_sums(self.run_sharded(shards, |range| self.value_range(theta, range)))
-        };
-        loss / self.total_weight
+        let mut scratch = Matrix::zeros(self.num_features, self.num_outputs());
+        self.fold(theta, &mut scratch)
     }
 
     fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        let shards = self.shards();
-        if shards.len() <= 1 {
-            grad.fill(0.0);
-            self.gradient_range(theta, 0..self.samples.len(), grad);
-            return;
-        }
-        // Sharded path: thread-local dense partials collected in shard order
-        // from the persistent pool, then a fixed-order tree reduction — see
-        // the module docs for why this is bitwise-deterministic at a fixed
-        // thread count.  The workers were spawned once in `with_threads`, so
-        // the per-evaluation cost is a channel dispatch, not a thread spawn.
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(shards, |range| {
-            let mut partial = Matrix::zeros(rows, cols);
-            self.gradient_range(theta, range, &mut partial);
-            partial
-        });
-        *grad = tree_reduce_matrices(partials).expect("at least one gradient shard");
+        self.fold(theta, grad);
     }
 
     fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let shards = self.shards();
-        if shards.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.value_and_gradient_range_batched(theta, 0..self.samples.len(), grad);
-            return loss / self.total_weight;
-        }
-        // Each pool worker runs the batched CSR kernel over its shard's row
-        // range; the scalar and matrix partials are then tree-reduced in the
-        // same fixed shard order the separate paths use, preserving the
-        // determinism contract.
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(shards, |range| {
-            let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.value_and_gradient_range_batched(theta, range, &mut partial);
-            (loss, partial)
-        });
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient shard");
-        tree_reduce_sums(losses) / self.total_weight
+        self.fold(theta, grad)
     }
 
     fn shape(&self) -> (usize, usize) {
@@ -497,12 +568,16 @@ impl SmoothObjective for DmcpObjective<'_> {
         // g(t) factor: binary service features keep the full step while the
         // day-scaled profile rows get proportionally smaller ones.
         let mut sums = vec![0.0; self.num_features];
-        for (i, s) in self.samples.iter().enumerate() {
-            let w = self.weight(i);
-            for (idx, v) in s.features.iter() {
-                sums[idx as usize] += w * v * v;
-            }
-        }
+        self.source
+            .for_each_block(0..self.source.total_samples(), |block, rows| {
+                for local in rows {
+                    let w = self.weight(block.start + local);
+                    let (indices, values) = block.csr.row(local);
+                    for (&idx, &v) in indices.iter().zip(values) {
+                        sums[idx as usize] += w * v * v;
+                    }
+                }
+            });
         let norm = self.total_weight;
         Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
     }
@@ -682,7 +757,8 @@ mod tests {
             let mut grad_batched = Matrix::zeros(3, 4);
             let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
             let mut grad_unbatched = Matrix::zeros(3, 4);
-            let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
+            let value_unbatched =
+                value_and_gradient_unbatched(&samples, weights, 2, &theta, &mut grad_unbatched);
             assert_eq!(
                 grad_batched, grad_unbatched,
                 "batched CSR gradient must match the per-sample walk bitwise"
@@ -705,7 +781,8 @@ mod tests {
         let mut grad_batched = Matrix::zeros(3, 3);
         let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
         let mut grad_unbatched = Matrix::zeros(3, 3);
-        let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
+        let value_unbatched =
+            value_and_gradient_unbatched(&samples, None, 2, &theta, &mut grad_unbatched);
         assert_eq!(grad_batched, grad_unbatched);
         assert_eq!(value_batched.to_bits(), value_unbatched.to_bits());
     }

@@ -1,64 +1,47 @@
-//! Sharded and out-of-core training over streaming cohort shards.
+//! Sharded and out-of-core training: the two ways to feed the DMCP engine
+//! without materializing the cohort.
 //!
-//! The materialized path ([`crate::dataset::Dataset`] → [`DmcpObjective`](crate::loss::DmcpObjective))
-//! holds the whole cohort several times over: `Vec<PatientRecord>`, the raw
-//! samples (each with its own cloned history), the featurized samples, *and*
-//! the CSR packing.  At paper scale and beyond that is the memory ceiling.
-//! This module replaces the monolithic packing with **shard blocks** fed by
-//! the seeded, resumable [`CohortShards`] generator:
+//! The materialized path ([`crate::dataset::Dataset`] →
+//! [`DmcpObjective::new`](crate::loss::DmcpObjective::new)) holds the whole
+//! cohort several times over: `Vec<PatientRecord>`, the raw samples (each
+//! with its own cloned history), the featurized samples, *and* the CSR
+//! packing.  At paper scale and beyond that is the memory ceiling.  This
+//! module feeds the one [`DmcpEngine`] from the
+//! seeded, resumable [`CohortShards`] generator instead:
 //!
-//! * [`ShardedSamples`] / [`ShardedDmcpObjective`] — the cohort's featurized
-//!   samples packed into per-shard [`CsrMatrix`] blocks plus label vectors,
-//!   built by streaming patients through the featurizer (peak transient:
-//!   one patient shard).  Evaluation folds `value_and_gradient` over the
-//!   blocks; the retained state is the CSR blocks only, not the patients or
-//!   sparse-vector samples.
-//! * [`StreamingDmcpObjective`] — true out-of-core: retains **no** sample
-//!   data at all, only an 8-byte-per-patient sample-offset index.  Every
-//!   evaluation regenerates and re-featurizes patients shard-by-shard into a
-//!   reused scratch CSR block ([`CsrMatrix::clear_rows`] + `push_row`), so
-//!   peak memory is O(shard), independent of the cohort size, at the cost of
-//!   regenerating the cohort per evaluation.
+//! * [`ShardedSamples`] — the cohort's featurized samples packed into
+//!   per-shard CSR blocks plus label vectors and the feature layout, built by
+//!   streaming patients through the featurizer (peak transient: one patient
+//!   shard).  [`DmcpObjective::from_shards`](crate::loss::DmcpObjective::from_shards)
+//!   folds the engine over the retained blocks; nothing else of the cohort is
+//!   kept.
+//! * [`Regenerated`] / [`StreamingDmcpObjective`] — true out-of-core: retains
+//!   **no** sample data at all, only an 8-byte-per-patient sample-offset
+//!   index.  Every pass regenerates and re-featurizes patients shard by shard
+//!   into one reused scratch [`SampleShard`] per thread, so peak memory is
+//!   O(shard), independent of the cohort size, at the cost of regenerating
+//!   the cohort per pass.
 //!
-//! # Determinism contract (the shard fold)
-//!
-//! Both objectives reproduce the materialized [`DmcpObjective`](crate::loss::DmcpObjective) **bitwise at
-//! a fixed thread count** and to ≤1e-12 across thread counts, for *any* shard
-//! size (property-tested in `tests/shard_equivalence.rs`).  Why bitwise
-//! holds:
-//!
-//! 1. Per-thread chunks come from the same `chunk_ranges(total_samples,
-//!    threads)` the materialized objective uses — chunk boundaries never
-//!    depend on the shard size.
-//! 2. Within a chunk, the overlapping shard blocks are walked in sample
-//!    order through `fused_csr_block`, which carries the loss accumulator
-//!    across segments: the per-row scores, softmax residuals, loss additions
-//!    and gradient scatters are the same floating-point operations in the
-//!    same order as one un-segmented pass (per-row score equality across CSR
-//!    sub-ranges is property-tested in `pfp-math`).
-//! 3. Partials are combined with the same fixed-order tree reduction.
-//!
-//! Shard size therefore changes *where* the work is segmented but not a
-//! single floating-point operation; only the thread count changes summation
-//! order.
+//! Both reproduce the materialized objective **bitwise at a fixed thread
+//! count**, for any shard size: the engine's chunks never depend on where the
+//! blocks are cut (see the determinism contract in [`crate::loss`];
+//! property-tested in `tests/shard_equivalence.rs`).  Training over either
+//! source goes through the one [`fit`].
 
 use std::ops::Range;
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{CohortConfig, CohortShards, PatientRecord};
-use pfp_math::parallel::{
-    chunk_ranges, intersect_ranges, tree_reduce_matrices, tree_reduce_sums, WorkerPool,
-};
-use pfp_math::{CsrMatrix, Matrix, SparseVec};
-use pfp_optim::admm::{WarmStart, WarmStartError};
-use pfp_optim::SmoothObjective;
+use pfp_math::parallel::intersect_ranges;
+use pfp_math::SparseVec;
 
 use crate::dataset::Sample;
 use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
 use crate::imbalance::ImbalanceStrategy;
-use crate::loss::fused_csr_block;
+pub use crate::loss::SampleShard;
+use crate::loss::{DmcpEngine, SampleSource};
 use crate::model::DmcpModel;
-use crate::train::{solve_for_train, TrainConfig, TrainReport};
+use crate::train::{fit, TrainConfig};
 
 /// Featurize every transition sample of one patient, in transition order,
 /// without materializing `RawSample`s: `visit(features, cu_label,
@@ -101,68 +84,31 @@ pub fn for_each_patient_sample(
     }
 }
 
-/// One featurized shard: a CSR block over the shard's samples plus their
-/// labels.  Row `i` of `csr` is global sample `start + i`.
-#[derive(Debug, Clone)]
-pub struct SampleShard {
-    /// Global index of this shard's first sample.
-    pub start: usize,
-    /// Feature rows of the shard's samples.
-    pub csr: CsrMatrix,
-    /// Destination labels (parallel to the CSR rows).
-    pub cu_labels: Vec<u32>,
-    /// Duration-class labels (parallel to the CSR rows).
-    pub duration_labels: Vec<u32>,
-}
-
-impl SampleShard {
-    /// Number of samples in the shard.
-    pub fn len(&self) -> usize {
-        self.csr.rows()
-    }
-
-    /// Whether the shard holds no samples (possible: a patient shard whose
-    /// patients all have single-stay trajectories yields zero transitions).
-    pub fn is_empty(&self) -> bool {
-        self.csr.rows() == 0
-    }
-
-    /// The global sample range this shard covers.
-    pub fn range(&self) -> Range<usize> {
-        self.start..self.start + self.len()
-    }
-}
-
-/// A cohort's featurized samples as shard blocks, plus the layout metadata a
-/// trainer needs.  Built either from already-featurized samples
+/// A cohort's featurized samples as shard blocks, plus the feature layout
+/// they were featurized under.  Built either from already-featurized samples
 /// ([`from_samples`](Self::from_samples)) or by streaming a cohort config
 /// through the generator and featurizer without ever materializing patient or
 /// sample vectors ([`stream_cohort`](Self::stream_cohort)).
 #[derive(Debug, Clone)]
 pub struct ShardedSamples {
     shards: Vec<SampleShard>,
-    num_features: usize,
+    featurizer: HistoryFeaturizer,
     num_cus: usize,
     num_durations: usize,
     total_samples: usize,
-    /// The feature map the samples were featurized under (recorded by
-    /// `stream_cohort`; `from_samples` callers track their own).
-    kind: Option<FeatureMapKind>,
-    profile_dim: usize,
-    service_dim: usize,
 }
 
 impl ShardedSamples {
-    /// Pack featurized samples into shard blocks of at most `shard_size`
-    /// samples.
+    /// Pack samples featurized by `featurizer` into shard blocks of at most
+    /// `shard_size` samples.
     ///
     /// # Panics
     /// Panics if `shard_size == 0`, a label is out of range, or a feature
-    /// vector has the wrong dimension.
+    /// vector's dimension differs from `featurizer.total_dim()`.
     pub fn from_samples(
         samples: &[Sample],
         shard_size: usize,
-        num_features: usize,
+        featurizer: HistoryFeaturizer,
         num_cus: usize,
         num_durations: usize,
     ) -> Self {
@@ -171,36 +117,25 @@ impl ShardedSamples {
             num_cus >= 1 && num_durations >= 1,
             "need at least one class per head"
         );
-        let mut shards = Vec::with_capacity(samples.len().div_ceil(shard_size).max(1));
-        for (block_idx, block) in samples.chunks(shard_size).enumerate() {
-            let mut shard = SampleShard {
-                start: block_idx * shard_size,
-                csr: CsrMatrix::with_dim(num_features),
-                cu_labels: Vec::with_capacity(block.len()),
-                duration_labels: Vec::with_capacity(block.len()),
-            };
-            for s in block {
-                assert_eq!(s.features.dim(), num_features, "feature dimension mismatch");
-                assert!(s.cu_label < num_cus, "destination label out of range");
-                assert!(
-                    s.duration_label < num_durations,
-                    "duration label out of range"
-                );
-                shard.csr.push_row(&s.features);
-                shard.cu_labels.push(s.cu_label as u32);
-                shard.duration_labels.push(s.duration_label as u32);
-            }
-            shards.push(shard);
-        }
+        let shards = samples
+            .chunks(shard_size)
+            .enumerate()
+            .map(|(i, block)| {
+                SampleShard::pack(
+                    i * shard_size,
+                    block,
+                    featurizer.total_dim(),
+                    num_cus,
+                    num_durations,
+                )
+            })
+            .collect();
         Self {
             shards,
-            num_features,
+            featurizer,
             num_cus,
             num_durations,
             total_samples: samples.len(),
-            kind: None,
-            profile_dim: 0,
-            service_dim: 0,
         }
     }
 
@@ -219,25 +154,14 @@ impl ShardedSamples {
         kind: Option<FeatureMapKind>,
         shard_size: usize,
     ) -> Self {
-        let kind = kind.unwrap_or_else(|| default_mcp_kind_streaming(config, shard_size));
-        let profile_dim = config.features.profile;
-        let service_dim = config.features.time_varying_dim();
-        let num_features = profile_dim + service_dim;
-        let featurizer = HistoryFeaturizer::new(kind, profile_dim, service_dim);
+        let featurizer = cohort_featurizer(config, kind, shard_size);
         let mut shards = Vec::new();
         let mut total_samples = 0usize;
         for patient_shard in CohortShards::new(config, shard_size) {
-            let mut shard = SampleShard {
-                start: total_samples,
-                csr: CsrMatrix::with_dim(num_features),
-                cu_labels: Vec::new(),
-                duration_labels: Vec::new(),
-            };
+            let mut shard = SampleShard::empty(total_samples, featurizer.total_dim());
             for patient in &patient_shard.patients {
                 for_each_patient_sample(patient, &featurizer, |features, cu, dur| {
-                    shard.csr.push_row(&features);
-                    shard.cu_labels.push(cu as u32);
-                    shard.duration_labels.push(dur as u32);
+                    shard.push(&features, cu, dur);
                 });
             }
             total_samples += shard.len();
@@ -245,13 +169,10 @@ impl ShardedSamples {
         }
         Self {
             shards,
-            num_features,
+            featurizer,
             num_cus: NUM_CARE_UNITS,
             num_durations: NUM_DURATION_CLASSES,
             total_samples,
-            kind: Some(kind),
-            profile_dim,
-            service_dim,
         }
     }
 
@@ -265,9 +186,19 @@ impl ShardedSamples {
         &self.shards
     }
 
+    /// The featurizer the samples were built with (kind and block layout).
+    pub fn featurizer(&self) -> HistoryFeaturizer {
+        self.featurizer
+    }
+
+    /// The feature map the samples were featurized under.
+    pub fn kind(&self) -> FeatureMapKind {
+        self.featurizer.kind
+    }
+
     /// Feature dimension `M`.
     pub fn num_features(&self) -> usize {
-        self.num_features
+        self.featurizer.total_dim()
     }
 
     /// Number of destination classes `C`.
@@ -278,11 +209,6 @@ impl ShardedSamples {
     /// Number of duration classes `D`.
     pub fn num_durations(&self) -> usize {
         self.num_durations
-    }
-
-    /// The feature map recorded by [`stream_cohort`](Self::stream_cohort).
-    pub fn kind(&self) -> Option<FeatureMapKind> {
-        self.kind
     }
 
     /// Per-joint-class `(c, d)` sample counts, streamed over the shard
@@ -312,243 +238,109 @@ impl ShardedSamples {
         }
         weights
     }
-
-    /// Index of the first shard whose sample range ends after `sample` —
-    /// the entry point of a chunk fold.
-    fn first_shard_overlapping(&self, sample: usize) -> usize {
-        self.shards.partition_point(|s| s.range().end <= sample)
-    }
 }
 
-/// The DMCP objective folded over [`ShardedSamples`] blocks.
-///
-/// Drop-in replacement for [`DmcpObjective`](crate::loss::DmcpObjective) on the solver side
-/// ([`solve_group_lasso`](pfp_optim::admm::solve_group_lasso) takes any
-/// [`SmoothObjective`]); reproduces it
-/// bitwise at a fixed thread count for any shard size (see the module docs
-/// for the argument, `tests/shard_equivalence.rs` for the proof-by-test).
-pub struct ShardedDmcpObjective<'a> {
-    samples: &'a ShardedSamples,
-    weights: Option<&'a [f64]>,
-    threads: usize,
-    total_weight: f64,
-    pool: Option<WorkerPool>,
-}
-
-impl<'a> ShardedDmcpObjective<'a> {
-    /// Build an objective over shard blocks.
-    ///
-    /// # Panics
-    /// Panics if there are zero samples, or `weights` (when given) has the
-    /// wrong length or a negative entry.
-    pub fn new(samples: &'a ShardedSamples, weights: Option<&'a [f64]>) -> Self {
-        assert!(
-            samples.total_samples > 0,
-            "cannot build an objective over zero samples"
-        );
-        if let Some(w) = weights {
-            assert_eq!(w.len(), samples.total_samples, "weights length mismatch");
-            assert!(w.iter().all(|&x| x >= 0.0), "weights must be non-negative");
-        }
-        let total_weight = match weights {
-            Some(w) => w.iter().sum::<f64>().max(1e-12),
-            None => samples.total_samples as f64,
-        };
-        Self {
-            samples,
-            weights,
-            threads: 1,
-            total_weight,
-            pool: None,
-        }
-    }
-
-    /// Shard loss/gradient accumulation over `threads` worker threads, with
-    /// the same semantics as [`DmcpObjective::with_threads`](crate::loss::DmcpObjective::with_threads) (same chunk
-    /// boundaries, same pool-width cap, same determinism contract).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = pfp_math::parallel::resolve_threads(threads);
-        let workers = self.threads.min(self.samples.total_samples);
-        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
-        self
-    }
-
-    /// Number of output columns `C + D`.
-    pub fn num_outputs(&self) -> usize {
-        self.samples.num_cus + self.samples.num_durations
-    }
-
-    /// Fold the fused kernel over the shard blocks a global chunk crosses,
-    /// carrying the loss accumulator so the chunk is bitwise-equal to an
-    /// un-segmented evaluation of the same sample range.
-    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
-        let mut loss = 0.0;
-        let first = self.samples.first_shard_overlapping(chunk.start);
-        for shard in &self.samples.shards[first..] {
-            if shard.start >= chunk.end {
-                break;
-            }
-            let overlap = intersect_ranges(&chunk, &shard.range());
-            if overlap.is_empty() {
-                continue;
-            }
-            let local = overlap.start - shard.start..overlap.end - shard.start;
-            let base = shard.start;
-            fused_csr_block(
-                &shard.csr,
-                theta,
-                local,
-                self.samples.num_cus,
-                self.samples.num_durations,
-                self.total_weight,
-                |i| {
-                    (
-                        shard.cu_labels[i] as usize,
-                        shard.duration_labels[i] as usize,
-                    )
-                },
-                |i| self.weights.map(|w| w[base + i]).unwrap_or(1.0),
-                grad,
-                &mut loss,
-            );
-        }
-        loss
-    }
-
-    /// The per-thread global sample chunks — the same pure function of
-    /// `(total_samples, threads)` the materialized objective uses.
-    fn chunks(&self) -> Vec<Range<usize>> {
-        chunk_ranges(self.samples.total_samples, self.threads)
-    }
-
-    fn run_sharded<T, F>(&self, chunks: Vec<Range<usize>>, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        match &self.pool {
-            Some(pool) => {
-                let task = &task;
-                pool.run(chunks.into_iter().map(|r| move || task(r)).collect())
-            }
-            None => chunks.into_iter().map(task).collect(),
-        }
-    }
-
-    /// Fused fold shared by all three trait entry points: the fused kernel's
-    /// loss is bitwise-identical to the separate value pass and its gradient
-    /// to the separate gradient pass (established for [`DmcpObjective`](crate::loss::DmcpObjective) by
-    /// the `parallel_equivalence` suite), so one fold serves `value`,
-    /// `gradient` and `value_and_gradient` alike.
-    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let chunks = self.chunks();
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.fold_chunk(theta, 0..self.samples.total_samples, grad);
-            return loss / self.total_weight;
-        }
-        let (rows, cols) = grad.shape();
-        let partials = self.run_sharded(chunks, |chunk| {
-            let mut partial = Matrix::zeros(rows, cols);
-            let loss = self.fold_chunk(theta, chunk, &mut partial);
-            (loss, partial)
-        });
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
-        tree_reduce_sums(losses) / self.total_weight
-    }
-}
-
-impl SmoothObjective for ShardedDmcpObjective<'_> {
-    fn value(&self, theta: &Matrix) -> f64 {
-        let mut scratch = Matrix::zeros(self.samples.num_features, self.num_outputs());
-        self.fold(theta, &mut scratch)
-    }
-
-    fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        self.fold(theta, grad);
-    }
-
-    fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        self.fold(theta, grad)
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.samples.num_features, self.num_outputs())
-    }
-
-    fn row_curvature_bounds(&self) -> Option<Vec<f64>> {
-        // Same accumulation order as the materialized objective: samples in
-        // global order, each row's nonzeros in storage order.
-        let mut sums = vec![0.0; self.samples.num_features];
-        for shard in &self.samples.shards {
-            for local in 0..shard.len() {
-                let w = self.weights.map(|w| w[shard.start + local]).unwrap_or(1.0);
-                let (indices, values) = shard.csr.row(local);
-                for (&idx, &v) in indices.iter().zip(values) {
-                    sums[idx as usize] += w * v * v;
+/// The featurizer for a generated cohort: `kind`, or the paper default whose
+/// σ is the cohort mean dwell time, summed in a streaming pre-pass in exactly
+/// [`pfp_ehr::stats::mean_dwell_days`]' order (patients in id order, stays in
+/// chronological order), one patient shard in memory at a time.
+fn cohort_featurizer(
+    config: &CohortConfig,
+    kind: Option<FeatureMapKind>,
+    shard_size: usize,
+) -> HistoryFeaturizer {
+    let kind = kind.unwrap_or_else(|| {
+        let mut sum = 0.0f64;
+        let mut count = 0usize;
+        for shard in CohortShards::new(config, shard_size) {
+            for p in &shard.patients {
+                for s in &p.stays {
+                    sum += s.dwell_days;
+                    count += 1;
                 }
             }
         }
-        let norm = self.total_weight;
-        Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
-    }
-}
-
-/// Streaming pre-pass for the paper-default feature map: the cohort mean
-/// dwell time summed in exactly [`pfp_ehr::stats::mean_dwell_days`]' order
-/// (patients in id order, stays in chronological order), one patient shard
-/// in memory at a time.
-fn default_mcp_kind_streaming(config: &CohortConfig, shard_size: usize) -> FeatureMapKind {
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for shard in CohortShards::new(config, shard_size) {
-        for p in &shard.patients {
-            for s in &p.stays {
-                sum += s.dwell_days;
-                count += 1;
-            }
+        let mean = if count == 0 { 1.0 } else { sum / count as f64 };
+        FeatureMapKind::MutuallyCorrecting {
+            sigma: mean.max(0.5),
         }
-    }
-    let mean = if count == 0 { 1.0 } else { sum / count as f64 };
-    FeatureMapKind::MutuallyCorrecting {
-        sigma: mean.max(0.5),
-    }
+    });
+    HistoryFeaturizer::new(
+        kind,
+        config.features.profile,
+        config.features.time_varying_dim(),
+    )
 }
 
-/// The out-of-core DMCP objective: regenerates and re-featurizes the cohort
-/// from its seed on **every** evaluation, shard by shard, retaining only an
-/// 8-byte-per-patient sample-offset index between evaluations.
+/// The out-of-core sample source: regenerates and re-featurizes the cohort
+/// from its seed on **every** pass, `shard_size` patients per block,
+/// retaining only an 8-byte-per-patient sample-offset index between passes.
 ///
-/// Peak memory is O(shard_size) — one patient shard plus one scratch CSR
-/// block per worker thread, reused across shards via
-/// [`CsrMatrix::clear_rows`] — regardless of the cohort size.  The price is
-/// one cohort generation + featurization per evaluation; this is the
-/// memory-bound end of the trade-off, [`ShardedDmcpObjective`] (retained CSR
-/// blocks) the speed-bound end.  Results are bitwise-identical to both (same
-/// chunks, same segmented fused kernel, same reductions; segment boundaries —
-/// here at patient granularity — do not change the operation order).
-///
-/// Per-sample weights are not supported (they would require a per-evaluation
-/// streaming re-count); train with [`ImbalanceStrategy::None`].
-pub struct StreamingDmcpObjective {
+/// Peak memory is O(shard_size) — one scratch block per worker thread,
+/// reused across blocks — regardless of the cohort size.  The price is one
+/// cohort generation + featurization per pass; this is the memory-bound end
+/// of the trade-off, [`ShardedSamples`] (retained blocks) the speed-bound
+/// end.  Block boundaries fall at patient granularity, which the engine's
+/// determinism contract makes unobservable.
+pub struct Regenerated {
     config: CohortConfig,
     featurizer: HistoryFeaturizer,
-    kind: FeatureMapKind,
     shard_size: usize,
     /// `sample_offsets[p]` = number of samples contributed by patients
     /// `0..p`; length `num_patients + 1`.  The only retained per-patient
     /// state.
     sample_offsets: Vec<usize>,
-    num_features: usize,
-    num_cus: usize,
-    num_durations: usize,
-    threads: usize,
-    total_weight: f64,
-    pool: Option<WorkerPool>,
-    profile_dim: usize,
-    service_dim: usize,
 }
+
+impl SampleSource for Regenerated {
+    fn total_samples(&self) -> usize {
+        *self.sample_offsets.last().expect("non-empty offsets")
+    }
+
+    fn for_each_block(
+        &self,
+        range: Range<usize>,
+        mut visit: impl FnMut(&SampleShard, Range<usize>),
+    ) {
+        let mut block = SampleShard::empty(range.start, self.featurizer.total_dim());
+        // First patient whose sample range ends after `range` starts.
+        let first = self.sample_offsets[1..].partition_point(|&end| end <= range.start);
+        let mut patients_in_block = 0usize;
+        for p in first..self.config.num_patients {
+            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
+            if p_range.start >= range.end {
+                break;
+            }
+            let overlap = intersect_ranges(&range, &p_range);
+            if overlap.is_empty() {
+                continue;
+            }
+            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
+            let mut s_idx = p_range.start;
+            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
+                if overlap.contains(&s_idx) {
+                    block.push(&features, cu, dur);
+                }
+                s_idx += 1;
+            });
+            patients_in_block += 1;
+            if patients_in_block >= self.shard_size {
+                visit(&block, 0..block.len());
+                block.reset(block.range().end);
+                patients_in_block = 0;
+            }
+        }
+        if !block.is_empty() {
+            visit(&block, 0..block.len());
+        }
+    }
+}
+
+/// The engine over a regenerated cohort: true out-of-core training.
+///
+/// Per-sample weights are not supported (they would require a per-pass
+/// streaming re-count); train with [`ImbalanceStrategy::None`].
+pub type StreamingDmcpObjective = DmcpEngine<'static, Regenerated>;
 
 impl StreamingDmcpObjective {
     /// Build the objective for the cohort of `config`, streaming two
@@ -562,10 +354,7 @@ impl StreamingDmcpObjective {
     /// `shard_size == 0`.
     pub fn new(config: &CohortConfig, kind: Option<FeatureMapKind>, shard_size: usize) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
-        let kind = kind.unwrap_or_else(|| default_mcp_kind_streaming(config, shard_size));
-        let profile_dim = config.features.profile;
-        let service_dim = config.features.time_varying_dim();
-        let featurizer = HistoryFeaturizer::new(kind, profile_dim, service_dim);
+        let featurizer = cohort_featurizer(config, kind, shard_size);
         let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
         sample_offsets.push(0);
         let mut total = 0usize;
@@ -575,241 +364,31 @@ impl StreamingDmcpObjective {
                 sample_offsets.push(total);
             }
         }
-        assert!(
-            total > 0,
-            "cannot build an objective over zero samples (cohort has no transitions)"
-        );
-        Self {
+        let source = Regenerated {
             config: config.clone(),
             featurizer,
-            kind,
             shard_size,
             sample_offsets,
-            num_features: profile_dim + service_dim,
-            num_cus: NUM_CARE_UNITS,
-            num_durations: NUM_DURATION_CLASSES,
-            threads: 1,
-            total_weight: total as f64,
-            pool: None,
-            profile_dim,
-            service_dim,
-        }
-    }
-
-    /// Shard accumulation over `threads` workers (same contract as
-    /// [`DmcpObjective::with_threads`](crate::loss::DmcpObjective::with_threads)).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = pfp_math::parallel::resolve_threads(threads);
-        let workers = self.threads.min(self.total_samples());
-        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
-        self
-    }
-
-    /// Total number of transition samples in the cohort.
-    pub fn total_samples(&self) -> usize {
-        *self.sample_offsets.last().expect("non-empty offsets")
-    }
-
-    /// The feature map in use (needed to build the matching [`DmcpModel`]).
-    pub fn kind(&self) -> FeatureMapKind {
-        self.kind
-    }
-
-    /// Number of output columns `C + D`.
-    pub fn num_outputs(&self) -> usize {
-        self.num_cus + self.num_durations
-    }
-
-    /// Regenerate, featurize and fold one global sample chunk, packing at
-    /// most `shard_size`-patient batches of rows into a reused scratch CSR
-    /// block before flushing each through the fused kernel.
-    fn fold_chunk(&self, theta: &Matrix, chunk: Range<usize>, grad: &mut Matrix) -> f64 {
-        let mut loss = 0.0;
-        let mut csr = CsrMatrix::with_dim(self.num_features);
-        let mut cu_labels: Vec<u32> = Vec::new();
-        let mut duration_labels: Vec<u32> = Vec::new();
-        // First patient whose sample range ends after the chunk starts.
-        let first = self.sample_offsets[1..].partition_point(|&end| end <= chunk.start);
-        let mut patients_in_block = 0usize;
-        for p in first..self.config.num_patients {
-            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
-            if p_range.start >= chunk.end {
-                break;
-            }
-            let overlap = intersect_ranges(&chunk, &p_range);
-            if overlap.is_empty() {
-                continue;
-            }
-            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
-            let mut s_idx = p_range.start;
-            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
-                if overlap.contains(&s_idx) {
-                    csr.push_row(&features);
-                    cu_labels.push(cu as u32);
-                    duration_labels.push(dur as u32);
-                }
-                s_idx += 1;
-            });
-            patients_in_block += 1;
-            if patients_in_block >= self.shard_size {
-                self.flush_block(theta, &csr, &cu_labels, &duration_labels, grad, &mut loss);
-                csr.clear_rows();
-                cu_labels.clear();
-                duration_labels.clear();
-                patients_in_block = 0;
-            }
-        }
-        self.flush_block(theta, &csr, &cu_labels, &duration_labels, grad, &mut loss);
-        loss
-    }
-
-    /// Run the fused kernel over one packed scratch block (no-op when empty).
-    fn flush_block(
-        &self,
-        theta: &Matrix,
-        csr: &CsrMatrix,
-        cu_labels: &[u32],
-        duration_labels: &[u32],
-        grad: &mut Matrix,
-        loss: &mut f64,
-    ) {
-        if csr.rows() == 0 {
-            return;
-        }
-        fused_csr_block(
-            csr,
-            theta,
-            0..csr.rows(),
-            self.num_cus,
-            self.num_durations,
-            self.total_weight,
-            |i| (cu_labels[i] as usize, duration_labels[i] as usize),
-            |_| 1.0,
-            grad,
-            loss,
-        );
-    }
-
-    fn fold(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        let chunks = chunk_ranges(self.total_samples(), self.threads);
-        if chunks.len() <= 1 {
-            grad.fill(0.0);
-            let loss = self.fold_chunk(theta, 0..self.total_samples(), grad);
-            return loss / self.total_weight;
-        }
-        let (rows, cols) = grad.shape();
-        let partials = match &self.pool {
-            Some(pool) => {
-                let task = |chunk: Range<usize>| {
-                    let mut partial = Matrix::zeros(rows, cols);
-                    let loss = self.fold_chunk(theta, chunk, &mut partial);
-                    (loss, partial)
-                };
-                let task = &task;
-                pool.run(chunks.into_iter().map(|r| move || task(r)).collect())
-            }
-            None => chunks
-                .into_iter()
-                .map(|chunk| {
-                    let mut partial = Matrix::zeros(rows, cols);
-                    let loss = self.fold_chunk(theta, chunk, &mut partial);
-                    (loss, partial)
-                })
-                .collect(),
         };
-        let (losses, grads): (Vec<f64>, Vec<Matrix>) = partials.into_iter().unzip();
-        *grad = tree_reduce_matrices(grads).expect("at least one gradient chunk");
-        tree_reduce_sums(losses) / self.total_weight
-    }
-}
-
-impl SmoothObjective for StreamingDmcpObjective {
-    fn value(&self, theta: &Matrix) -> f64 {
-        let mut scratch = Matrix::zeros(self.num_features, self.num_outputs());
-        self.fold(theta, &mut scratch)
+        DmcpEngine::build(
+            source,
+            None,
+            featurizer.total_dim(),
+            NUM_CARE_UNITS,
+            NUM_DURATION_CLASSES,
+        )
     }
 
-    fn gradient(&self, theta: &Matrix, grad: &mut Matrix) {
-        self.fold(theta, grad);
+    /// The featurizer every pass re-runs (kind and block layout) — the one
+    /// to [`fit`] this objective with.
+    pub fn featurizer(&self) -> HistoryFeaturizer {
+        self.source().featurizer
     }
 
-    fn value_and_gradient(&self, theta: &Matrix, grad: &mut Matrix) -> f64 {
-        self.fold(theta, grad)
+    /// The feature map in use.
+    pub fn kind(&self) -> FeatureMapKind {
+        self.source().featurizer.kind
     }
-
-    fn shape(&self) -> (usize, usize) {
-        (self.num_features, self.num_outputs())
-    }
-
-    fn row_curvature_bounds(&self) -> Option<Vec<f64>> {
-        // One more streaming pass, same accumulation order as the
-        // materialized objective.
-        let mut sums = vec![0.0; self.num_features];
-        for shard in CohortShards::new(&self.config, self.shard_size) {
-            for p in &shard.patients {
-                for_each_patient_sample(p, &self.featurizer, |features, _, _| {
-                    for (idx, v) in features.iter() {
-                        sums[idx as usize] += v * v;
-                    }
-                });
-            }
-        }
-        let norm = self.total_weight;
-        Some(sums.into_iter().map(|s| 0.5 * s / norm).collect())
-    }
-}
-
-/// Train a [`DmcpModel`] over pre-built shard blocks.
-///
-/// Reproduces [`crate::train::train`] bitwise for the same samples (same
-/// θ₀ initialisation, same solver config, same objective values — see
-/// `tests/admm_convergence.rs`).  Supports [`ImbalanceStrategy::None`] and
-/// [`ImbalanceStrategy::Weighted`] (weights streamed from the shard labels);
-/// `Synthetic` requires materialized samples and panics.
-///
-/// # Panics
-/// Panics on zero samples, a missing feature-map kind (build the shards with
-/// [`ShardedSamples::stream_cohort`] or set `config.feature_map`), or the
-/// synthetic imbalance strategy.
-pub fn train_sharded(samples: &ShardedSamples, config: &TrainConfig) -> DmcpModel {
-    train_sharded_warm(samples, config, None)
-        .expect("cold start cannot fail")
-        .model
-}
-
-/// [`train_sharded`] with an optional carried [`WarmStart`], returning the
-/// full [`TrainReport`] — the rolling-retrain entry point: retrain on
-/// yesterday's shards plus today's, seeded from yesterday's exit state.
-pub fn train_sharded_warm(
-    samples: &ShardedSamples,
-    config: &TrainConfig,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    let kind = config
-        .feature_map
-        .or(samples.kind)
-        .expect("feature-map kind unknown: stream the shards or set config.feature_map");
-    let weights = match config.imbalance {
-        ImbalanceStrategy::None => None,
-        ImbalanceStrategy::Weighted => Some(samples.sample_weights()),
-        ImbalanceStrategy::Synthetic { .. } => {
-            panic!("synthetic imbalance requires materialized samples")
-        }
-    };
-    let objective =
-        ShardedDmcpObjective::new(samples, weights.as_deref()).with_threads(config.threads);
-    let result = solve_for_train(&objective, config, warm)?;
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
-            kind,
-            profile_dim: samples.profile_dim,
-            service_dim: samples.service_dim,
-            num_cus: samples.num_cus,
-            num_durations: samples.num_durations,
-        }
-    }))
 }
 
 /// Train a [`DmcpModel`] fully out-of-core: the cohort of `cohort_config`
@@ -821,47 +400,23 @@ pub fn train_sharded_warm(
 /// # Panics
 /// Panics if `config.imbalance` is not [`ImbalanceStrategy::None`] (weighted
 /// and synthetic strategies need materialized samples or retained labels —
-/// use [`train_sharded`] for weighted) or the cohort has no transitions.
+/// fit [`DmcpObjective::from_shards`](crate::loss::DmcpObjective::from_shards)
+/// for weighted) or the cohort has no
+/// transitions.
 pub fn train_streamed(
     cohort_config: &CohortConfig,
     config: &TrainConfig,
     shard_size: usize,
 ) -> DmcpModel {
-    train_streamed_warm(cohort_config, config, shard_size, None)
-        .expect("cold start cannot fail")
-        .model
-}
-
-/// [`train_streamed`] with an optional carried [`WarmStart`], returning the
-/// full [`TrainReport`].
-///
-/// # Panics
-/// Same conditions as [`train_streamed`].
-pub fn train_streamed_warm(
-    cohort_config: &CohortConfig,
-    config: &TrainConfig,
-    shard_size: usize,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
     assert!(
         config.imbalance == ImbalanceStrategy::None,
         "out-of-core training supports ImbalanceStrategy::None only"
     );
     let objective = StreamingDmcpObjective::new(cohort_config, config.feature_map, shard_size)
         .with_threads(config.threads);
-    let kind = objective.kind();
-    let result = solve_for_train(&objective, config, warm)?;
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
-            kind,
-            profile_dim: objective.profile_dim,
-            service_dim: objective.service_dim,
-            num_cus: objective.num_cus,
-            num_durations: objective.num_durations,
-        }
-    }))
+    fit(&objective, objective.featurizer(), config, None)
+        .expect("cold start cannot fail")
+        .model
 }
 
 #[cfg(test)]
@@ -869,7 +424,10 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::loss::DmcpObjective;
+    use crate::train::train;
     use pfp_ehr::generate_cohort;
+    use pfp_math::{CsrMatrix, Matrix};
+    use pfp_optim::SmoothObjective;
 
     fn fixture() -> (Dataset, Vec<Sample>) {
         let cohort = generate_cohort(&CohortConfig::tiny(17));
@@ -905,7 +463,11 @@ mod tests {
         assert_eq!(streamed.total_samples(), samples.len());
         assert_eq!(streamed.num_features(), ds.total_feature_dim());
         // Same σ as the materialized dataset pre-pass.
-        assert_eq!(streamed.kind(), Some(ds.default_mcp_kind()));
+        assert_eq!(streamed.kind(), ds.default_mcp_kind());
+        assert_eq!(
+            streamed.featurizer().profile_dim + streamed.featurizer().service_dim,
+            ds.total_feature_dim()
+        );
         // Row-for-row identical content (shard boundaries differ: stream
         // shards are per-patient, from_samples shards are per-sample).
         let mut global = 0usize;
@@ -935,9 +497,14 @@ mod tests {
         let mut grad_ref = Matrix::zeros(m, ds.num_cus + ds.num_durations);
         let value_ref = reference.value_and_gradient(&theta, &mut grad_ref);
         for shard_size in [1usize, 7, samples.len(), samples.len() + 1] {
-            let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, m, ds.num_cus, ds.num_durations);
-            let obj = ShardedDmcpObjective::new(&sharded, None);
+            let sharded = ShardedSamples::from_samples(
+                &samples,
+                shard_size,
+                ds.featurizer(ds.default_mcp_kind()),
+                ds.num_cus,
+                ds.num_durations,
+            );
+            let obj = DmcpObjective::from_shards(&sharded, None);
             let mut grad = Matrix::zeros(m, ds.num_cus + ds.num_durations);
             let value = obj.value_and_gradient(&theta, &mut grad);
             assert_eq!(value.to_bits(), value_ref.to_bits(), "shard={shard_size}");
@@ -983,8 +550,9 @@ mod tests {
     #[test]
     fn sharded_weights_match_imbalance_module() {
         let (ds, samples) = fixture();
-        let m = ds.total_feature_dim();
-        let sharded = ShardedSamples::from_samples(&samples, 7, m, ds.num_cus, ds.num_durations);
+        let featurizer = ds.featurizer(ds.default_mcp_kind());
+        let sharded =
+            ShardedSamples::from_samples(&samples, 7, featurizer, ds.num_cus, ds.num_durations);
         let expected = crate::imbalance::sample_weights(&samples, ds.num_cus, ds.num_durations);
         let got = sharded.sample_weights();
         assert_eq!(got.len(), expected.len());
@@ -1003,8 +571,13 @@ mod tests {
         // shard of single-stay patients).
         let (ds, samples) = fixture();
         let m = ds.total_feature_dim();
-        let mut sharded =
-            ShardedSamples::from_samples(&samples, samples.len(), m, ds.num_cus, ds.num_durations);
+        let mut sharded = ShardedSamples::from_samples(
+            &samples,
+            samples.len(),
+            ds.featurizer(ds.default_mcp_kind()),
+            ds.num_cus,
+            ds.num_durations,
+        );
         // Split shard 0 into [0..k), an empty shard, [k..n).
         let only = sharded.shards.remove(0);
         let k = samples.len() / 2;
@@ -1033,7 +606,7 @@ mod tests {
             duration_labels: Vec::new(),
         };
         sharded.shards = vec![first, empty, second];
-        let obj = ShardedDmcpObjective::new(&sharded, None);
+        let obj = DmcpObjective::from_shards(&sharded, None);
         let reference = DmcpObjective::new(&samples, None, m, ds.num_cus, ds.num_durations);
         let theta = Matrix::from_fn(m, ds.num_cus + ds.num_durations, |r, c| {
             0.01 * (r as f64 % 7.0) + 0.005 * (c as f64)
@@ -1047,10 +620,48 @@ mod tests {
     }
 
     #[test]
+    fn model_fitted_on_sample_shards_equals_train_model() {
+        // A shard set built from featurized samples carries the featurizer's
+        // layout, so the model fitted on it is `train()`'s model in every
+        // field and scores real samples.
+        let (ds, samples) = fixture();
+        let kind = FeatureMapKind::MutuallyCorrecting { sigma: 3.0 };
+        let config = TrainConfig::fast().with_feature_map(kind);
+        let expected = train(&ds, &config);
+        let samples_k = ds.featurize(kind);
+        assert_eq!(samples_k.len(), samples.len());
+        for shard_size in [1usize, 7, samples.len()] {
+            let sharded = ShardedSamples::from_samples(
+                &samples_k,
+                shard_size,
+                ds.featurizer(kind),
+                ds.num_cus,
+                ds.num_durations,
+            );
+            let objective = DmcpObjective::from_shards(&sharded, None);
+            let model = fit(&objective, sharded.featurizer(), &config, None)
+                .unwrap()
+                .model;
+            assert_eq!(model.theta, expected.theta, "shard={shard_size}");
+            assert_eq!(model.selection, expected.selection);
+            assert_eq!(model.kind, expected.kind);
+            assert_eq!(model.profile_dim, expected.profile_dim);
+            assert_eq!(model.service_dim, expected.service_dim);
+            assert_eq!(model.num_cus, expected.num_cus);
+            assert_eq!(model.num_durations, expected.num_durations);
+            assert_eq!(model.num_features(), model.theta.rows());
+            for s in samples_k.iter().take(20) {
+                assert_eq!(model.predict(&s.features), expected.predict(&s.features));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "zero samples")]
     fn sharded_objective_rejects_zero_samples() {
-        let sharded = ShardedSamples::from_samples(&[], 4, 3, 2, 2);
-        let _ = ShardedDmcpObjective::new(&sharded, None);
+        let featurizer = HistoryFeaturizer::new(FeatureMapKind::CurrentOnly, 1, 2);
+        let sharded = ShardedSamples::from_samples(&[], 4, featurizer, 2, 2);
+        let _ = DmcpObjective::from_shards(&sharded, None);
     }
 
     #[test]

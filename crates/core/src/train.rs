@@ -7,21 +7,28 @@
 //! 3. minimise the two-head cross-entropy plus the row-wise group lasso with
 //!    ADMM (inner gradient descent for the Θ-update, group soft-threshold for
 //!    the X-update, dual ascent for Y).
+//!
+//! Step 3 is [`fit`], which takes a built objective — the one
+//! [`DmcpEngine`] over any sample source — and returns the model plus the
+//! solve's exit state.  The other entry points compose over it: [`train`] /
+//! [`train_warm`] featurize a [`Dataset`] and apply steps 1–2 first, and
+//! [`crate::stream::train_streamed`] fits the out-of-core objective.
 
 use pfp_math::rng::seeded_rng;
 use pfp_math::Matrix;
 use pfp_optim::admm::{
-    solve_group_lasso, solve_group_lasso_warm, AdaptiveRho, AdmmConfig, AdmmResult, PlateauStop,
-    ThetaUpdate, WarmStart, WarmStartError,
+    solve_group_lasso, solve_group_lasso_warm, AdaptiveRho, AdmmConfig, PlateauStop, ThetaUpdate,
+    WarmStart, WarmStartError,
 };
 use pfp_optim::gd::{AcceleratedConfig, LearningRate};
+use pfp_optim::SmoothObjective;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{Dataset, Sample};
-use crate::features::FeatureMapKind;
+use crate::dataset::Dataset;
+use crate::features::{FeatureMapKind, HistoryFeaturizer};
 use crate::imbalance::ImbalanceStrategy;
-use crate::loss::DmcpObjective;
+use crate::loss::{DmcpEngine, DmcpObjective, SampleSource};
 use crate::model::DmcpModel;
 
 /// Which ADMM solver the trainer runs.
@@ -246,33 +253,11 @@ pub struct TrainReport {
     pub final_objective: f64,
 }
 
-impl TrainReport {
-    pub(crate) fn from_solve(
-        result: AdmmResult,
-        make_model: impl FnOnce(Matrix, Matrix) -> DmcpModel,
-    ) -> Self {
-        let warm_start = result.warm_start();
-        let final_objective = *result
-            .objective_trace
-            .last()
-            .expect("trace holds at least the starting entry");
-        Self {
-            model: make_model(result.theta, result.x),
-            warm_start,
-            evaluations: result.evaluations,
-            outer_iterations: result.outer_iterations,
-            converged: result.converged,
-            plateau_stopped: result.plateau_stopped,
-            final_objective,
-        }
-    }
-}
-
 /// The trainer's θ₀ initialisation: a seeded uniform draw in
-/// `±init_scale/2`, derived from `config.seed` (shared bit-for-bit by the
-/// materialized, sharded and streaming trainers).  Public so benches and
-/// tests that drive [`pfp_optim::admm::solve_group_lasso`] directly can
-/// reproduce the trainer's cold start.
+/// `±init_scale/2`, derived from `config.seed` (shared bit-for-bit by every
+/// sample source).  Public so benches and tests that drive
+/// [`pfp_optim::admm::solve_group_lasso`] directly can reproduce the
+/// trainer's cold start.
 pub fn initial_theta(num_features: usize, num_outputs: usize, config: &TrainConfig) -> Matrix {
     let mut rng = seeded_rng(config.seed ^ 0x007A_1E55);
     Matrix::from_fn(num_features, num_outputs, |_, _| {
@@ -280,20 +265,63 @@ pub fn initial_theta(num_features: usize, num_outputs: usize, config: &TrainConf
     })
 }
 
-/// Run the ADMM solve, cold (seeded θ₀, zero dual) or warm (carried state).
-pub(crate) fn solve_for_train<O: pfp_optim::SmoothObjective>(
-    objective: &O,
+/// Algorithm 1 on a built objective: run the ADMM solve, cold (seeded θ₀,
+/// zero dual) or warm (carried state), and package the result as a
+/// [`DmcpModel`] whose layout is `featurizer`'s and whose class counts are
+/// the objective's.
+///
+/// The objective fixes the samples, the imbalance weights and the thread
+/// count; `config` supplies the solver settings.  Every trainer in the crate
+/// is a composition over this function, and callers that run several solves
+/// over the same samples (a γ path, a retrain) build the objective once and
+/// call `fit` per solve.
+///
+/// # Errors
+/// Returns [`WarmStartError`] if `warm` does not fit the objective's shape
+/// or carries a non-finite state.
+///
+/// # Panics
+/// Panics if `featurizer`'s dimension differs from the objective's.
+pub fn fit<S: SampleSource>(
+    objective: &DmcpEngine<'_, S>,
+    featurizer: HistoryFeaturizer,
     config: &TrainConfig,
     warm: Option<&WarmStart>,
-) -> Result<AdmmResult, WarmStartError> {
-    match warm {
-        Some(w) => solve_group_lasso_warm(objective, &config.admm_config(), w),
+) -> Result<TrainReport, WarmStartError> {
+    assert_eq!(
+        featurizer.total_dim(),
+        objective.num_features(),
+        "featurizer dimension does not match the objective"
+    );
+    let result = match warm {
+        Some(w) => solve_group_lasso_warm(objective, &config.admm_config(), w)?,
         None => {
             let (rows, cols) = objective.shape();
             let theta0 = initial_theta(rows, cols, config);
-            Ok(solve_group_lasso(objective, theta0, &config.admm_config()))
+            solve_group_lasso(objective, theta0, &config.admm_config())
         }
-    }
+    };
+    let final_objective = *result
+        .objective_trace
+        .last()
+        .expect("trace holds at least the starting entry");
+    Ok(TrainReport {
+        warm_start: result.warm_start(),
+        evaluations: result.evaluations,
+        outer_iterations: result.outer_iterations,
+        converged: result.converged,
+        plateau_stopped: result.plateau_stopped,
+        final_objective,
+        model: DmcpModel {
+            theta: result.theta,
+            selection: result.x,
+            kind: featurizer.kind,
+            profile_dim: featurizer.profile_dim,
+            service_dim: featurizer.service_dim,
+            num_cus: objective.num_cus(),
+            num_durations: objective.num_durations(),
+        },
+    })
 }
 
 /// Train a [`DmcpModel`] on a raw dataset.
@@ -322,90 +350,20 @@ pub fn train_warm(
     let kind = config
         .feature_map
         .unwrap_or_else(|| dataset.default_mcp_kind());
-    let samples = dataset.featurize(kind);
-    train_featurized_warm(
-        samples,
-        kind,
-        dataset.profile_dim,
-        dataset.service_dim,
-        dataset.num_cus,
-        dataset.num_durations,
-        config,
-        warm,
-    )
-}
-
-/// Train on already-featurized samples (used by the cross-validation harness,
-/// the hierarchical cascade and the joint-label ablation).
-pub fn train_featurized(
-    samples: Vec<Sample>,
-    kind: FeatureMapKind,
-    profile_dim: usize,
-    service_dim: usize,
-    num_cus: usize,
-    num_durations: usize,
-    config: &TrainConfig,
-) -> DmcpModel {
-    train_featurized_warm(
-        samples,
-        kind,
-        profile_dim,
-        service_dim,
-        num_cus,
-        num_durations,
-        config,
-        None,
-    )
-    .expect("cold start cannot fail")
-    .model
-}
-
-/// [`train_featurized`] with an optional carried [`WarmStart`], returning
-/// the full [`TrainReport`].  The γ-continuation driver and warm CV chain
-/// through this entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn train_featurized_warm(
-    samples: Vec<Sample>,
-    kind: FeatureMapKind,
-    profile_dim: usize,
-    service_dim: usize,
-    num_cus: usize,
-    num_durations: usize,
-    config: &TrainConfig,
-    warm: Option<&WarmStart>,
-) -> Result<TrainReport, WarmStartError> {
-    assert!(!samples.is_empty(), "cannot train on an empty sample set");
-    let num_features = profile_dim + service_dim;
+    let featurizer = dataset.featurizer(kind);
+    let (c, d) = (dataset.num_cus, dataset.num_durations);
     let (samples, weights) = config
         .imbalance
-        .apply(samples, num_cus, num_durations, config.seed);
-    let objective = DmcpObjective::new(
-        &samples,
-        weights.as_deref(),
-        num_features,
-        num_cus,
-        num_durations,
-    )
-    .with_threads(config.threads);
-
-    let result = solve_for_train(&objective, config, warm)?;
-
-    Ok(TrainReport::from_solve(result, |theta, selection| {
-        DmcpModel {
-            theta,
-            selection,
-            kind,
-            profile_dim,
-            service_dim,
-            num_cus,
-            num_durations,
-        }
-    }))
+        .apply(dataset.featurize(kind), c, d, config.seed);
+    let objective = DmcpObjective::new(&samples, weights.as_deref(), featurizer.total_dim(), c, d)
+        .with_threads(config.threads);
+    fit(&objective, featurizer, config, warm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Sample;
     use pfp_ehr::{generate_cohort, CohortConfig};
     use pfp_math::SparseVec;
 
@@ -531,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn train_featurized_handles_hand_built_samples() {
+    fn fit_handles_hand_built_samples() {
         let samples = vec![
             Sample {
                 patient_id: 0,
@@ -558,15 +516,13 @@ mod tests {
                 duration_label: 0,
             },
         ];
-        let model = train_featurized(
-            samples.clone(),
-            FeatureMapKind::ModulatedPoisson,
-            1,
-            2,
-            2,
-            2,
-            &TrainConfig::fast(),
-        );
+        let featurizer = HistoryFeaturizer::new(FeatureMapKind::ModulatedPoisson, 1, 2);
+        let objective = DmcpObjective::new(&samples, None, 3, 2, 2);
+        let model = fit(&objective, featurizer, &TrainConfig::fast(), None)
+            .unwrap()
+            .model;
+        assert_eq!((model.profile_dim, model.service_dim), (1, 2));
+        assert_eq!(model.kind, FeatureMapKind::ModulatedPoisson);
         for s in &samples {
             assert_eq!(model.predict(&s.features), (s.cu_label, s.duration_label));
         }

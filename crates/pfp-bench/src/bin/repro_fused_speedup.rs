@@ -19,8 +19,8 @@
 //!    fixed-budget final objective (within 1e-6) with strictly fewer passes —
 //!    the CI regression gate — and with ≥ 2× fewer passes-to-tolerance on
 //!    non-`--fast` runs.
-//! 3. **Timings** — fused vs separate vs unbatched evaluation wall time,
-//!    serial and pooled.
+//! 3. **Timings** — batched CSR vs per-sample unbatched evaluation wall
+//!    time, serial and pooled.
 //! 4. **Machine-readable record** — everything above plus the requested
 //!    thread count and the host's `available_parallelism` goes to
 //!    `BENCH_admm.json`, so pooled-slower-than-serial numbers from a 1-core
@@ -29,13 +29,11 @@
 use std::time::Instant;
 
 use pfp_bench::{render_table, Args, CountingObjective};
-use pfp_core::loss::DmcpObjective;
+use pfp_core::loss::{value_and_gradient_unbatched, DmcpObjective};
 use pfp_core::{Dataset, SolverMode};
 use pfp_ehr::generate_cohort;
 use pfp_math::Matrix;
 use pfp_optim::admm::{solve_group_lasso, AdmmResult, SmoothObjective};
-use pfp_optim::gd::minimize_vector;
-use pfp_optim::LearningRate;
 
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f(); // warm-up
@@ -99,7 +97,8 @@ fn main() {
         "batched fused serial value must match the separate path bitwise"
     );
     let mut grad_unbatched = Matrix::zeros(rows, cols);
-    let value_unbatched = serial.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
+    let value_unbatched =
+        value_and_gradient_unbatched(&samples, None, dataset.num_cus, &theta, &mut grad_unbatched);
     assert_eq!(
         grad_fused, grad_unbatched,
         "batched CSR gradient must match the per-sample walk bitwise"
@@ -237,51 +236,30 @@ fn main() {
     println!("Convergence (before/after):\n");
     print!("{}", render_table(&header, &table));
 
-    // Plain GD (`minimize_vector`): one fused call per iteration plus start,
-    // where the pre-fusion loop made two calls per iteration, each computing
-    // both halves (~4 per-sample passes per iteration).
-    let mut gd_calls = 0usize;
-    let gd = minimize_vector(
-        vec![4.0; 8],
-        |x| {
-            gd_calls += 1;
-            let value: f64 = x.iter().map(|v| v * v).sum();
-            (value, x.iter().map(|v| 2.0 * v).collect())
-        },
-        LearningRate::Constant(0.1),
-        25,
-        0.0,
-    );
-    assert_eq!(gd_calls, gd.iterations + 1);
-
-    // --- 3. Timings: batched vs unbatched vs separate, serial and pooled. ---
+    // --- 3. Timings: batched vs unbatched, serial and pooled. ---
     let mut grad = Matrix::zeros(rows, cols);
-    let separate_serial = time(reps, || {
-        serial.gradient(&theta, &mut grad);
-        std::hint::black_box(serial.value(&theta));
-    });
     let unbatched_serial = time(reps, || {
-        std::hint::black_box(serial.value_and_gradient_unbatched(&theta, &mut grad));
+        std::hint::black_box(value_and_gradient_unbatched(
+            &samples,
+            None,
+            dataset.num_cus,
+            &theta,
+            &mut grad,
+        ));
     });
     let fused_serial = time(reps, || {
         std::hint::black_box(serial.value_and_gradient(&theta, &mut grad));
     });
-    let separate_pooled = time(reps, || {
-        pooled.gradient(&theta, &mut grad);
-        std::hint::black_box(pooled.value(&theta));
-    });
     let fused_pooled = time(reps, || {
         std::hint::black_box(pooled.value_and_gradient(&theta, &mut grad));
     });
-    let header: Vec<String> = ["path", "value+gradient (ms)", "speedup vs separate serial"]
+    let header: Vec<String> = ["path", "value+gradient (ms)", "speedup vs unbatched serial"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let timing_rows: Vec<Vec<String>> = [
-        ("separate serial", separate_serial),
         ("fused unbatched serial", unbatched_serial),
         ("fused batched CSR serial", fused_serial),
-        ("separate pooled", separate_pooled),
         ("fused batched CSR pooled", fused_pooled),
     ]
     .iter()
@@ -289,7 +267,7 @@ fn main() {
         vec![
             label.to_string(),
             format!("{:.2}", secs * 1e3),
-            format!("{:.2}x", separate_serial / secs),
+            format!("{:.2}x", unbatched_serial / secs),
         ]
     })
     .collect();
@@ -305,9 +283,8 @@ fn main() {
          \"fused_matches_separate_bitwise_serial\": true,\n  \
          \"batched_matches_unbatched_bitwise_serial\": true,\n  \
          \"pooled_max_abs_grad_diff\": {pooled_grad_diff:e},\n  \
-         \"eval_ms\": {{\"separate_serial\": {:.4}, \"fused_unbatched_serial\": {:.4}, \
-         \"fused_batched_serial\": {:.4}, \"separate_pooled\": {:.4}, \
-         \"fused_batched_pooled\": {:.4}}},\n  \
+         \"eval_ms\": {{\"fused_unbatched_serial\": {:.4}, \
+         \"fused_batched_serial\": {:.4}, \"fused_batched_pooled\": {:.4}}},\n  \
          \"convergence\": {{\n    \
          \"fixed_budget\": {{\"outer_iterations\": {}, \"inner_iterations\": {}, \
          \"passes\": {fixed_passes}, \"solve_seconds\": {fixed_secs:.4}, \
@@ -319,10 +296,8 @@ fn main() {
          \"objective_gap\": {gap:.3e},\n    \"passes_ratio\": {passes_ratio:.4}\n  }}\n}}\n",
         cohort.patients.len(),
         samples.len(),
-        separate_serial * 1e3,
         unbatched_serial * 1e3,
         fused_serial * 1e3,
-        separate_pooled * 1e3,
         fused_pooled * 1e3,
         fixed.outer_iterations,
         fixed.inner_iterations,

@@ -21,7 +21,8 @@
 //! * `streaming` — [`train_streamed`]: the cohort is regenerated from its
 //!   seed shard-by-shard on every objective evaluation; retained state is an
 //!   8-byte-per-patient offset index plus the solver matrices.
-//! * `sharded`   — [`ShardedSamples::stream_cohort`] + [`train_sharded`]:
+//! * `sharded`   — [`ShardedSamples::stream_cohort`] + [`fit`] over
+//!   [`DmcpObjective::from_shards`]:
 //!   CSR shard blocks are built streamingly and retained, so evaluations
 //!   don't regenerate, but no patient or sample vector is ever materialized.
 //! * `materialized` (skippable with `--no-baseline`) — the classic
@@ -36,8 +37,8 @@ use std::time::Instant;
 
 use pfp_bench::mem;
 use pfp_bench::render_table;
-use pfp_core::stream::{train_sharded, train_streamed, ShardedSamples};
-use pfp_core::{train, Dataset, DmcpModel, TrainConfig};
+use pfp_core::stream::{train_streamed, ShardedSamples};
+use pfp_core::{fit, train, Dataset, DmcpModel, DmcpObjective, TrainConfig};
 use pfp_ehr::departments::PAPER_NUM_PATIENTS;
 use pfp_ehr::{generate_cohort, CohortConfig, FeatureDictionary};
 
@@ -215,7 +216,11 @@ fn main() {
                 train_config.feature_map,
                 args.shard_size,
             );
-            train_sharded(&shards, &train_config)
+            let objective =
+                DmcpObjective::from_shards(&shards, None).with_threads(train_config.threads);
+            fit(&objective, shards.featurizer(), &train_config, None)
+                .expect("cold start cannot fail")
+                .model
         }));
         let p = phases.last().unwrap();
         println!(

@@ -10,8 +10,7 @@ use pfp_baselines::{
     VarPredictor,
 };
 use pfp_core::joint::JointLabelModel;
-use pfp_core::train::train_featurized_warm;
-use pfp_core::{Dataset, PlateauStop, TrainConfig, WarmStart};
+use pfp_core::{fit, Dataset, DmcpObjective, PlateauStop, TrainConfig, WarmStart};
 use pfp_ehr::departments::{paper_table1, paper_table2, NUM_CARE_UNITS};
 use pfp_ehr::features::{FeatureDictionary, FeatureDomain};
 use pfp_ehr::stats::{duration_histogram, table1, table2, DurationHistogram, Table1Row, Table2Row};
@@ -297,7 +296,9 @@ pub struct ContinuationPoint {
 /// Train DMCP along a γ-continuation path: multipliers are walked in
 /// ascending order and each solve is seeded with the previous solve's ADMM
 /// exit state ([`WarmStart`]), replacing the per-multiplier cold retrains.
-/// The training split is featurized once and shared by every point.
+/// The training split is featurized and packed into one objective (and one
+/// worker pool) once; every point is a [`fit`] of that objective with only
+/// γ swapped in the config.
 ///
 /// Neighbouring γ values have neighbouring solutions, so the carried
 /// `(Θ, Y, ρ, step)` is already near the next optimum; warm-starting changes
@@ -312,24 +313,18 @@ pub fn gamma_continuation(
     let mut ms = multipliers.to_vec();
     ms.sort_by(f64::total_cmp);
     let kind = base.feature_map.unwrap_or_else(|| train.default_mcp_kind());
-    let samples = train.featurize(kind);
-    let base_gamma = base.gamma;
+    let featurizer = train.featurizer(kind);
+    let (c, d) = (train.num_cus, train.num_durations);
+    let (samples, weights) = base.imbalance.apply(train.featurize(kind), c, d, base.seed);
+    let objective = DmcpObjective::new(&samples, weights.as_deref(), featurizer.total_dim(), c, d)
+        .with_threads(base.threads);
 
     let mut carry: Option<WarmStart> = None;
     let mut points = Vec::with_capacity(ms.len());
     for &m in &ms {
-        let cfg = base.with_gamma(base_gamma * m);
-        let report = train_featurized_warm(
-            samples.clone(),
-            kind,
-            train.profile_dim,
-            train.service_dim,
-            train.num_cus,
-            train.num_durations,
-            &cfg,
-            carry.as_ref(),
-        )
-        .expect("carried state always matches the shared featurization");
+        let cfg = base.with_gamma(base.gamma * m);
+        let report = fit(&objective, featurizer, &cfg, carry.as_ref())
+            .expect("carried state always matches the shared objective");
         let accuracy = evaluate(
             &DmcpPredictor::from_model(report.model, MethodId::Dmcp),
             test,

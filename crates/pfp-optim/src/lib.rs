@@ -1,10 +1,9 @@
 //! # pfp-optim
 //!
 //! Optimisation substrate for the discriminative learning algorithm of the
-//! paper (Algorithm 1): plain gradient descent with an `O(1/k)` step-size
-//! decay for the smooth sub-problem, the row-wise group-lasso proximal
-//! operator for the `ℓ_{1,2}` regulariser, and an ADMM driver tying the two
-//! together.
+//! paper (Algorithm 1): gradient steps for the smooth sub-problem, the
+//! row-wise group-lasso proximal operator for the `ℓ_{1,2}` regulariser, and
+//! an ADMM driver tying the two together.
 //!
 //! The crate is written against a small [`SmoothObjective`] trait so that the
 //! same ADMM driver can be reused by the DMCP trainer, the ablation

@@ -5,7 +5,7 @@
 //! bookkeeping.
 
 use patient_flow::core::loss::DmcpObjective;
-use patient_flow::core::stream::{train_streamed, ShardedDmcpObjective, ShardedSamples};
+use patient_flow::core::stream::{train_streamed, ShardedSamples};
 use patient_flow::core::{train, Dataset, SolverMode, TrainConfig};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::Matrix;
@@ -156,11 +156,11 @@ fn sharded_solve_retraces_the_materialized_solve_bitwise() {
             let sharded = ShardedSamples::from_samples(
                 &samples,
                 shard_size,
-                rows,
+                dataset.featurizer(dataset.default_mcp_kind()),
                 dataset.num_cus,
                 dataset.num_durations,
             );
-            let objective = ShardedDmcpObjective::new(&sharded, None);
+            let objective = DmcpObjective::from_shards(&sharded, None);
             let result = solve_group_lasso(&objective, theta0.clone(), &config.admm_config());
 
             assert_eq!(result.outer_iterations, expected.outer_iterations);

@@ -4,21 +4,21 @@
 //! samples, and must be bitwise-reproducible for a fixed thread count.
 //!
 //! The fused evaluation path (`SmoothObjective::value_and_gradient`) carries
-//! the same contract plus one stronger clause: **fused serial must match the
-//! separate serial `value` + `gradient` calls bitwise**, because it performs
-//! the identical floating-point operations in the identical order and merely
-//! skips the duplicated score pass.
+//! the same contract plus one stronger clause: **at every thread count it
+//! must match the separate `value` + `gradient` calls bitwise** — the trait
+//! contract that the fused path is an optimisation, never a different
+//! function.  All three entry points run the engine's one fused fold.
 //!
 //! The fused path is batched over the cohort's CSR packing
 //! (`pfp_math::CsrMatrix`); the same bitwise clause binds it to the
-//! per-sample `SparseVec` walk (`value_and_gradient_unbatched`), because the
+//! per-sample `SparseVec` walk (`loss::value_and_gradient_unbatched`), because the
 //! batched kernels visit the same nonzeros in the same order and only change
 //! the memory layout.
 
 use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
-use patient_flow::core::loss::DmcpObjective;
+use patient_flow::core::loss::{value_and_gradient_unbatched, DmcpObjective};
 use patient_flow::core::{train, Dataset, TrainConfig};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::parallel::chunk_ranges;
@@ -107,20 +107,23 @@ proptest! {
         prop_assert!(b.sub(&a).max_abs() <= 1e-12);
     }
 
-    /// Fused serial evaluation == separate serial `value` + `gradient`,
-    /// **bitwise**, with and without per-sample weights.
+    /// Fused evaluation == separate `value` + `gradient`, **bitwise**, with
+    /// and without per-sample weights, serial and at 2, 3 and 8 threads.
     #[test]
     fn fused_serial_matches_separate_serial_bitwise(
         raw in proptest::collection::vec((0i64..DIM as i64, 0.1f64..2.0, 0i64..16, 0i64..16), 1..40),
         weighted in 0i64..2,
+        threads_idx in 0usize..4,
     ) {
+        let threads = [1usize, 2, 3, 8][threads_idx];
         let samples = build_samples(&raw);
         let weights: Vec<f64> = (0..samples.len()).map(|i| 0.2 + 0.5 * (i % 3) as f64).collect();
         let weights = if weighted == 1 { Some(&weights[..]) } else { None };
         let cols = NUM_CUS + NUM_DURATIONS;
         let theta = Matrix::from_fn(DIM, cols, |r, c| 0.03 * (r as f64) - 0.05 * (c as f64));
 
-        let obj = DmcpObjective::new(&samples, weights, DIM, NUM_CUS, NUM_DURATIONS);
+        let obj = DmcpObjective::new(&samples, weights, DIM, NUM_CUS, NUM_DURATIONS)
+            .with_threads(threads);
         let mut grad_sep = Matrix::zeros(DIM, cols);
         obj.gradient(&theta, &mut grad_sep);
         let value_sep = obj.value(&theta);
@@ -150,7 +153,8 @@ proptest! {
         let mut grad_batched = Matrix::zeros(DIM, cols);
         let value_batched = obj.value_and_gradient(&theta, &mut grad_batched);
         let mut grad_unbatched = Matrix::zeros(DIM, cols);
-        let value_unbatched = obj.value_and_gradient_unbatched(&theta, &mut grad_unbatched);
+        let value_unbatched =
+            value_and_gradient_unbatched(&samples, weights, NUM_CUS, &theta, &mut grad_unbatched);
 
         prop_assert_eq!(grad_batched, grad_unbatched);
         prop_assert_eq!(value_batched.to_bits(), value_unbatched.to_bits());
@@ -168,9 +172,9 @@ proptest! {
         let cols = NUM_CUS + NUM_DURATIONS;
         let theta = Matrix::from_fn(DIM, cols, |r, c| 0.07 * (r as f64) - 0.01 * (c as f64));
 
-        let serial = DmcpObjective::new(&samples, None, DIM, NUM_CUS, NUM_DURATIONS);
         let mut grad_serial = Matrix::zeros(DIM, cols);
-        let value_serial = serial.value_and_gradient_unbatched(&theta, &mut grad_serial);
+        let value_serial =
+            value_and_gradient_unbatched(&samples, None, NUM_CUS, &theta, &mut grad_serial);
 
         let pooled = DmcpObjective::new(&samples, None, DIM, NUM_CUS, NUM_DURATIONS)
             .with_threads(threads as usize);

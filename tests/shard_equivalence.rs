@@ -1,6 +1,7 @@
-//! Property tests of the shard-equivalence contract: folding the DMCP
-//! objective over streaming CSR shard blocks must reproduce the materialized
-//! (`Vec<Sample>`-backed) objective
+//! Property tests of the shard-equivalence contract: the DMCP engine folded
+//! over retained CSR shard blocks (`DmcpObjective::from_shards`) must
+//! reproduce the same engine over the materialized cohort packed as one
+//! block (`DmcpObjective::new`)
 //!
 //! * **bitwise at a fixed thread count**, for *any* shard size — the
 //!   per-thread chunks come from the same `chunk_ranges(total, threads)`,
@@ -22,8 +23,8 @@ use proptest::prelude::*;
 
 use patient_flow::core::dataset::Sample;
 use patient_flow::core::loss::DmcpObjective;
-use patient_flow::core::stream::{ShardedDmcpObjective, ShardedSamples, StreamingDmcpObjective};
-use patient_flow::core::Dataset;
+use patient_flow::core::stream::{ShardedSamples, StreamingDmcpObjective};
+use patient_flow::core::{Dataset, FeatureMapKind, HistoryFeaturizer};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::SmoothObjective;
@@ -60,6 +61,17 @@ fn build_samples(
         .collect()
 }
 
+/// Pack samples into shard blocks under a `DIM`-wide feature layout.
+fn pack(
+    samples: &[Sample],
+    shard_size: usize,
+    num_cus: usize,
+    num_durations: usize,
+) -> ShardedSamples {
+    let layout = HistoryFeaturizer::new(FeatureMapKind::CurrentOnly, 2, DIM - 2);
+    ShardedSamples::from_samples(samples, shard_size, layout, num_cus, num_durations)
+}
+
 /// The shard sizes under test for a cohort of `n` samples: one sample per
 /// shard, a size that leaves a ragged tail, exactly the cohort, and strictly
 /// larger than the cohort.
@@ -91,8 +103,8 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
-            let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(threads);
+                pack(&samples, shard_size, num_cus, num_durations);
+            let obj = DmcpObjective::from_shards(&sharded, None).with_threads(threads);
 
             let mut grad = Matrix::zeros(DIM, cols);
             let value = obj.value_and_gradient(&theta, &mut grad);
@@ -134,8 +146,8 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
-            let obj = ShardedDmcpObjective::new(&sharded, Some(&weights)).with_threads(threads);
+                pack(&samples, shard_size, num_cus, num_durations);
+            let obj = DmcpObjective::from_shards(&sharded, Some(&weights)).with_threads(threads);
             let mut grad = Matrix::zeros(DIM, cols);
             let value = obj.value_and_gradient(&theta, &mut grad);
             prop_assert!(
@@ -162,9 +174,9 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
-            let serial = ShardedDmcpObjective::new(&sharded, None);
-            let pooled = ShardedDmcpObjective::new(&sharded, None).with_threads(threads as usize);
+                pack(&samples, shard_size, num_cus, num_durations);
+            let serial = DmcpObjective::from_shards(&sharded, None);
+            let pooled = DmcpObjective::from_shards(&sharded, None).with_threads(threads as usize);
 
             let mut grad_serial = Matrix::zeros(DIM, cols);
             let mut grad_pooled = Matrix::zeros(DIM, cols);
@@ -199,8 +211,8 @@ proptest! {
 
         for shard_size in shard_sizes(samples.len()) {
             let sharded =
-                ShardedSamples::from_samples(&samples, shard_size, DIM, num_cus, num_durations);
-            let got = ShardedDmcpObjective::new(&sharded, weights)
+                pack(&samples, shard_size, num_cus, num_durations);
+            let got = DmcpObjective::from_shards(&sharded, weights)
                 .row_curvature_bounds()
                 .expect("bounds available");
             prop_assert_eq!(got.len(), expected.len());
@@ -266,9 +278,9 @@ fn sharded_fold_is_bitwise_reproducible_at_a_fixed_thread_count() {
     );
     let cols = 8;
     let theta = Matrix::from_fn(DIM, cols, |r, c| 0.6 * (r as f64) - 0.2 * (c as f64));
-    let sharded = ShardedSamples::from_samples(&samples, 2, DIM, 4, 4);
+    let sharded = pack(&samples, 2, 4, 4);
     let run = || {
-        let obj = ShardedDmcpObjective::new(&sharded, None).with_threads(3);
+        let obj = DmcpObjective::from_shards(&sharded, None).with_threads(3);
         let mut grad = Matrix::zeros(DIM, cols);
         let value = obj.value_and_gradient(&theta, &mut grad);
         (grad, value)
