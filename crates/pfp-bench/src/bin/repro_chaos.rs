@@ -3,14 +3,18 @@
 //!
 //! ```text
 //! cargo run --release -p pfp-bench --bin repro_chaos -- \
-//!     --rps 400 --clients 4 --phase-secs 1.5 --serve-threads 2
+//!     --rps 400 --target-rps 2000 --clients 4 --phase-secs 1.5 --serve-threads 2
 //! ```
 //!
 //! Phases, in order (the schedule's randomness — storm-kill spacing — is
 //! drawn from `pfp_math::rng::seeded_rng`, so a given `--seed` replays the
 //! same schedule):
 //!
-//! 1. **baseline** — paced load, no faults; records the pre-fault p50.
+//! 1. **baseline** — an RPS ramp with no faults: paced load at `--rps`,
+//!    `2·--rps`, … up to `--target-rps`, `--phase-secs` per step, stopping
+//!    at the first unsustained step (any error, or achieved throughput under
+//!    95% of the step's rate).  Per step: achieved rps and p50/p99/max
+//!    latency.  Step 1 (at `--rps`) supplies the pre-fault p50.
 //! 2. **kill_one** — one scoring worker killed mid-load; the supervisor
 //!    respawns it.
 //! 3. **kill_all_storm** — repeated kill-all rounds at seeded intervals, so
@@ -25,8 +29,9 @@
 //!    control sheds with `Overloaded` instead of queueing unboundedly.
 //! 6. **deadline_storm** — a burst of zero-budget requests: proves deadline
 //!    enforcement fails fast with `DeadlineExceeded`.
-//! 7. **post_recovery** — paced load again; p50 must be within 20% of the
-//!    baseline (plus a small absolute slack for CI timer noise).
+//! 7. **post_recovery** — paced load at `--rps` again; p50 must be within
+//!    20% of the baseline's first step (plus a small absolute slack for CI
+//!    timer noise).
 //!
 //! After every fault phase the harness polls until the service answers
 //! bitwise-correctly at full pool strength (bounded by
@@ -37,7 +42,8 @@
 //! `ShutDown` while the service is up), every fault phase recovers
 //! (`recovered == true`), zero wrong answers (every non-degraded `Ok`
 //! bitwise-matches `model.probabilities`), and post-recovery p50 is within
-//! the 20% band.
+//! the 20% band.  The ramp adds `max_sustained_rps` and that step's
+//! `ramp_p50_us` / `ramp_p99_us` to the record.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,6 +66,7 @@ use pfp_serve::{FallbackPredictor, PendingPrediction, PredictionService, ServeCo
 struct ChaosArgs {
     base: Args,
     rps: f64,
+    target_rps: f64,
     clients: usize,
     phase_secs: f64,
     serve_threads: usize,
@@ -73,6 +80,7 @@ struct ChaosArgs {
 
 const CHAOS_VALUE_FLAGS: &[&str] = &[
     "--rps",
+    "--target-rps",
     "--clients",
     "--phase-secs",
     "--serve-threads",
@@ -89,6 +97,7 @@ impl ChaosArgs {
         let out = ChaosArgs {
             base,
             rps: extras.get_or("--rps", 400.0),
+            target_rps: extras.get_or("--target-rps", 2000.0),
             clients: extras.get_or("--clients", 4),
             phase_secs: extras.get_or("--phase-secs", 1.5),
             serve_threads: extras.get_or("--serve-threads", 2),
@@ -100,6 +109,10 @@ impl ChaosArgs {
             recovery_timeout_secs: extras.get_or("--recovery-timeout-secs", 30.0),
         };
         assert!(out.rps > 0.0, "--rps must be positive");
+        assert!(
+            out.target_rps >= out.rps,
+            "--target-rps must be at least --rps"
+        );
         assert!(out.clients >= 1, "--clients must be at least 1");
         assert!(out.phase_secs > 0.0, "--phase-secs must be positive");
         assert!(
@@ -110,7 +123,7 @@ impl ChaosArgs {
     }
 
     fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let (base, extras) = Args::parse_from_with_extras(args, CHAOS_VALUE_FLAGS, &[]);
+        let (base, extras) = Args::parse_from_with_extras(args, CHAOS_VALUE_FLAGS);
         Self::from_parsed(base, &extras)
     }
 
@@ -145,6 +158,71 @@ struct Counters {
     wrong_answers: AtomicUsize,
 }
 
+impl Counters {
+    /// Requests answered with an error of any kind.
+    fn errors(&self) -> usize {
+        [
+            &self.err_pool,
+            &self.err_overloaded,
+            &self.err_deadline,
+            &self.err_shutdown,
+        ]
+        .iter()
+        .map(|c| c.load(Ordering::Relaxed))
+        .sum()
+    }
+
+    /// Add `other`'s counts into these (the ramp's steps sum into one
+    /// baseline phase).
+    fn absorb(&self, other: Counters) {
+        for (into, from) in [
+            (&self.ok_full, other.ok_full),
+            (&self.ok_degraded, other.ok_degraded),
+            (&self.err_pool, other.err_pool),
+            (&self.err_overloaded, other.err_overloaded),
+            (&self.err_deadline, other.err_deadline),
+            (&self.err_shutdown, other.err_shutdown),
+            (&self.wrong_answers, other.wrong_answers),
+        ] {
+            into.fetch_add(from.into_inner(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// One baseline ramp step's outcome.
+struct StepResult {
+    target_rps: f64,
+    achieved_rps: f64,
+    requests: usize,
+    errors: usize,
+    p50_us: u64,
+    p99_us: u64,
+    max_us: u64,
+    /// Zero errors and at least 95% of `target_rps` answered in full.
+    sustained: bool,
+}
+
+impl StepResult {
+    fn new(target_rps: f64, counters: &Counters, sorted: &[u64], elapsed: Duration) -> Self {
+        let ok_full = counters.ok_full.load(Ordering::Relaxed);
+        let errors = counters.errors();
+        let achieved_rps = ok_full as f64 / elapsed.as_secs_f64();
+        StepResult {
+            target_rps,
+            achieved_rps,
+            requests: ok_full
+                + errors
+                + counters.ok_degraded.load(Ordering::Relaxed)
+                + counters.wrong_answers.load(Ordering::Relaxed),
+            errors,
+            p50_us: percentile_us(sorted, 50.0),
+            p99_us: percentile_us(sorted, 99.0),
+            max_us: sorted.last().copied().unwrap_or(0),
+            sustained: errors == 0 && achieved_rps >= 0.95 * target_rps,
+        }
+    }
+}
+
 /// One phase's recorded outcome.
 struct PhaseResult {
     name: &'static str,
@@ -162,6 +240,8 @@ struct PhaseResult {
     recovered: bool,
 }
 
+/// `p`-th percentile (0–100) of already-sorted latencies, in microseconds.
+/// Nearest-rank on the sorted sample; 0 for an empty set.
 fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -207,19 +287,20 @@ fn record_outcome(
         Err(ServeError::ShutDown) => {
             counters.err_shutdown.fetch_add(1, Ordering::Relaxed);
         }
-        Err(ServeError::FeatureDim { .. }) => {
+        Err(ServeError::FeatureDim { .. } | ServeError::NonFinite { .. }) => {
             panic!("harness submitted a malformed request");
         }
     }
 }
 
-/// Drive paced load for `secs` while `fault` runs on the main thread.
-/// Returns the phase counters and the sorted ok-full latencies.
+/// Drive paced load at `rps` for `secs` while `fault` runs on the main
+/// thread.  Returns the phase counters and the sorted ok-full latencies.
 fn run_load<F: FnOnce()>(
     service: &PredictionService,
     requests: &Arc<Vec<SparseVec>>,
     expected: &Arc<Expected>,
     args: &ChaosArgs,
+    rps: f64,
     secs: f64,
     fault: F,
 ) -> (Counters, Vec<u64>) {
@@ -228,7 +309,7 @@ fn run_load<F: FnOnce()>(
     let start = Instant::now();
     let len = Duration::from_secs_f64(secs);
     let clients = args.clients;
-    let period = Duration::from_secs_f64(clients as f64 / args.rps);
+    let period = Duration::from_secs_f64(clients as f64 / rps);
     let mut handles = Vec::with_capacity(clients);
     for client_id in 0..clients {
         let client = service.client();
@@ -380,13 +461,17 @@ fn main() {
 
     println!(
         "Chaos — {} patients, {} distinct requests, serve threads = {}, \
-         clients = {}, rps = {}, queue = {}, backoff base/max = {}/{} ms, \
-         seed = {}, host parallelism = {available}\n",
+         clients = {}, rps = {} (ramp to {}), max_batch = {}, max_wait = {}µs, \
+         queue = {}, backoff base/max = {}/{} ms, seed = {}, \
+         host parallelism = {available}\n",
         cohort.patients.len(),
         requests.len(),
         args.serve_threads,
         args.clients,
         args.rps,
+        args.target_rps,
+        args.max_batch,
+        args.max_wait_us,
         args.queue_capacity,
         args.backoff_base_ms,
         args.backoff_max_ms,
@@ -400,17 +485,39 @@ fn main() {
     );
     let mut phases: Vec<PhaseResult> = Vec::new();
 
-    // --- 1. baseline ---
-    let (counters, lat) = run_load(
-        &service,
-        &requests,
-        &expected,
-        &args,
-        args.phase_secs,
-        || {},
-    );
-    let pre_fault_p50 = percentile_us(&lat, 50.0);
-    phases.push(finish_phase("baseline", counters, &lat, None));
+    // --- 1. baseline: the RPS ramp, --rps per step up to --target-rps,
+    // until the first unsustained step.  All steps count toward the phase's
+    // outcome totals; step 1 (at --rps) supplies the pre-fault p50. ---
+    let baseline = Counters::default();
+    let mut steps: Vec<StepResult> = Vec::new();
+    let mut first_step_lat: Option<Vec<u64>> = None;
+    for k in 1usize.. {
+        let rate = (k as f64 * args.rps).min(args.target_rps);
+        let started = Instant::now();
+        let (counters, lat) = run_load(
+            &service,
+            &requests,
+            &expected,
+            &args,
+            rate,
+            args.phase_secs,
+            || {},
+        );
+        let step = StepResult::new(rate, &counters, &lat, started.elapsed());
+        baseline.absorb(counters);
+        first_step_lat.get_or_insert(lat);
+        let sustained = step.sustained;
+        steps.push(step);
+        if !sustained || rate >= args.target_rps {
+            break;
+        }
+    }
+    let first_step_lat = first_step_lat.unwrap_or_default();
+    let pre_fault_p50 = percentile_us(&first_step_lat, 50.0);
+    phases.push(finish_phase("baseline", baseline, &first_step_lat, None));
+    let best = steps.iter().rev().find(|s| s.sustained);
+    let max_sustained_rps = best.map_or(0.0, |s| s.target_rps);
+    let (ramp_p50, ramp_p99) = best.map_or((0, 0), |s| (s.p50_us, s.p99_us));
 
     // --- 2. kill_one ---
     let (counters, lat) = run_load(
@@ -418,6 +525,7 @@ fn main() {
         &requests,
         &expected,
         &args,
+        args.rps,
         args.phase_secs,
         || {
             std::thread::sleep(Duration::from_secs_f64(args.phase_secs * 0.25));
@@ -445,6 +553,7 @@ fn main() {
         &requests,
         &expected,
         &args,
+        args.rps,
         args.phase_secs,
         || {
             let start = Instant::now();
@@ -564,6 +673,7 @@ fn main() {
         &requests,
         &expected,
         &args,
+        args.rps,
         args.phase_secs,
         || {},
     );
@@ -589,6 +699,41 @@ fn main() {
     // latencies of a few hundred µs, CI timer jitter alone can exceed 20%.
     let p50_slack_us = 300u64;
     let p50_within_band = post_recovery_p50 <= pre_fault_p50 + pre_fault_p50 / 5 + p50_slack_us;
+
+    let ramp_header: Vec<String> = [
+        "target rps",
+        "achieved rps",
+        "requests",
+        "errors",
+        "p50 (µs)",
+        "p99 (µs)",
+        "max (µs)",
+        "sustained",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let ramp_table: Vec<Vec<String>> = steps
+        .iter()
+        .map(|s| {
+            vec![
+                format!("{:.0}", s.target_rps),
+                format!("{:.0}", s.achieved_rps),
+                s.requests.to_string(),
+                s.errors.to_string(),
+                s.p50_us.to_string(),
+                s.p99_us.to_string(),
+                s.max_us.to_string(),
+                if s.sustained { "yes" } else { "NO" }.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "Baseline ramp ({} clients, {}s per step):\n",
+        args.clients, args.phase_secs
+    );
+    print!("{}", render_table(&ramp_header, &ramp_table));
+    println!("\nMax sustained: {max_sustained_rps:.0} rps (p50 {ramp_p50}µs, p99 {ramp_p99}µs).\n");
 
     let header: Vec<String> = [
         "phase",
@@ -650,6 +795,24 @@ fn main() {
     );
 
     // --- Machine-readable record. ---
+    let steps_json: Vec<String> = steps
+        .iter()
+        .map(|s| {
+            format!(
+                "    {{\"target_rps\": {:.1}, \"achieved_rps\": {:.1}, \"requests\": {}, \
+                 \"errors\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
+                 \"sustained\": {}}}",
+                s.target_rps,
+                s.achieved_rps,
+                s.requests,
+                s.errors,
+                s.p50_us,
+                s.p99_us,
+                s.max_us,
+                s.sustained
+            )
+        })
+        .collect();
     let phases_json: Vec<String> = phases
         .iter()
         .map(|p| {
@@ -675,9 +838,13 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"chaos\",\n  \"patients\": {},\n  \
          \"distinct_requests\": {},\n  \"seed\": {},\n  \"rps\": {},\n  \
-         \"clients\": {},\n  \"serve_threads\": {},\n  \
+         \"target_rps\": {},\n  \"clients\": {},\n  \"serve_threads\": {},\n  \
+         \"max_batch\": {},\n  \"max_wait_us\": {},\n  \
          \"queue_capacity\": {},\n  \"backoff_base_ms\": {},\n  \
          \"backoff_max_ms\": {},\n  \"available_parallelism\": {available},\n  \
+         \"ramp\": [\n{}\n  ],\n  \
+         \"max_sustained_rps\": {max_sustained_rps:.1},\n  \
+         \"ramp_p50_us\": {ramp_p50},\n  \"ramp_p99_us\": {ramp_p99},\n  \
          \"storm_rounds\": {storm_rounds},\n  \
          \"respawned_total\": {},\n  \
          \"phases\": [\n{}\n  ],\n  \
@@ -691,11 +858,15 @@ fn main() {
         requests.len(),
         args.base.seed,
         args.rps,
+        args.target_rps,
         args.clients,
         args.serve_threads,
+        args.max_batch,
+        args.max_wait_us,
         args.queue_capacity,
         args.backoff_base_ms,
         args.backoff_max_ms,
+        steps_json.join(",\n"),
         final_health.respawned_total,
         phases_json.join(",\n"),
     );
@@ -716,6 +887,7 @@ mod tests {
         let a = ChaosArgs::parse_from(strings(&[]));
         assert_eq!(a.base, Args::default());
         assert_eq!(a.rps, 400.0);
+        assert_eq!(a.target_rps, 2000.0);
         assert_eq!(a.serve_threads, 2);
         assert_eq!(a.queue_capacity, 64);
         assert_eq!(a.serve_config().queue_capacity, 64);
@@ -730,6 +902,8 @@ mod tests {
         let a = ChaosArgs::parse_from(strings(&[
             "--rps",
             "100",
+            "--target-rps",
+            "300",
             "--clients",
             "2",
             "--phase-secs",
@@ -744,6 +918,7 @@ mod tests {
             "11",
         ]));
         assert_eq!(a.rps, 100.0);
+        assert_eq!(a.target_rps, 300.0);
         assert_eq!(a.clients, 2);
         assert_eq!(a.phase_secs, 0.4);
         assert_eq!(a.serve_threads, 3);
@@ -763,6 +938,24 @@ mod tests {
     #[should_panic(expected = "--serve-threads must be at least 2")]
     fn single_worker_pools_are_rejected() {
         let _ = ChaosArgs::parse_from(strings(&["--serve-threads", "1"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--target-rps must be at least --rps")]
+    fn ramp_targets_below_the_starting_rate_are_rejected() {
+        let _ = ChaosArgs::parse_from(strings(&["--rps", "500", "--target-rps", "400"]));
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank_with_empty_guard() {
+        assert_eq!(percentile_us(&[], 50.0), 0);
+        assert_eq!(percentile_us(&[10], 50.0), 10);
+        assert_eq!(percentile_us(&[10], 99.0), 10);
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_us(&v, 50.0), 51);
+        assert_eq!(percentile_us(&v, 99.0), 99);
+        assert_eq!(percentile_us(&v, 100.0), 100);
+        assert_eq!(percentile_us(&v, 0.0), 1);
     }
 
     #[test]

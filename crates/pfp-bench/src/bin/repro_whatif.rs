@@ -83,7 +83,7 @@ fn census_table(title: &str, mean: &[Vec<f64>]) -> String {
 }
 
 fn main() {
-    let (args, extras) = Args::parse_with_extras(&["--rollouts"], &[]);
+    let (args, extras) = Args::parse_with_extras(&["--rollouts"]);
     let rollouts: usize = extras.get_or("--rollouts", 24);
     assert!(rollouts >= 1, "--rollouts must be at least 1");
 

@@ -48,7 +48,6 @@ impl Default for Args {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtraArgs {
     values: std::collections::BTreeMap<String, String>,
-    flags: std::collections::BTreeSet<String>,
 }
 
 impl ExtraArgs {
@@ -66,11 +65,6 @@ impl ExtraArgs {
     pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.get(flag).unwrap_or(default)
     }
-
-    /// Whether a declared boolean flag was given.
-    pub fn flag(&self, flag: &str) -> bool {
-        self.flags.contains(flag)
-    }
 }
 
 impl Args {
@@ -79,18 +73,16 @@ impl Args {
     /// Unknown flags are rejected with a panic so typos don't silently run the
     /// default experiment.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::parse_from_with_extras(args, &[], &[]).0
+        Self::parse_from_with_extras(args, &[]).0
     }
 
     /// [`parse_from`](Self::parse_from) plus binary-specific flags: the
-    /// caller declares its extra `--flag <value>` names in `value_flags` and
-    /// its extra boolean `--flag` names in `bool_flags`.  Shared flags are
-    /// parsed as usual; declared extras land in the returned [`ExtraArgs`];
-    /// anything else still panics, listing every accepted flag.
+    /// caller declares its extra `--flag <value>` names in `value_flags`.
+    /// Shared flags are parsed as usual; declared extras land in the returned
+    /// [`ExtraArgs`]; anything else still panics, listing every accepted flag.
     pub fn parse_from_with_extras<I: IntoIterator<Item = String>>(
         args: I,
         value_flags: &[&str],
-        bool_flags: &[&str],
     ) -> (Self, ExtraArgs) {
         let mut out = Args::default();
         let mut extras = ExtraArgs::default();
@@ -120,13 +112,9 @@ impl Args {
                         .unwrap_or_else(|| panic!("{other} requires a value"));
                     extras.values.insert(other.to_string(), v);
                 }
-                other if bool_flags.contains(&other) => {
-                    extras.flags.insert(other.to_string());
-                }
                 other => {
                     let mut known: Vec<&str> = vec!["--scale", "--seed", "--fast", "--threads"];
                     known.extend(value_flags);
-                    known.extend(bool_flags);
                     panic!("unknown argument: {other} (expected {})", known.join(", "));
                 }
             }
@@ -135,8 +123,8 @@ impl Args {
     }
 
     /// Parse the process arguments with binary-specific extras declared.
-    pub fn parse_with_extras(value_flags: &[&str], bool_flags: &[&str]) -> (Self, ExtraArgs) {
-        Self::parse_from_with_extras(std::env::args().skip(1), value_flags, bool_flags)
+    pub fn parse_with_extras(value_flags: &[&str]) -> (Self, ExtraArgs) {
+        Self::parse_from_with_extras(std::env::args().skip(1), value_flags)
     }
 
     /// The resolved worker-thread count (`--threads 0` → all available).
@@ -235,37 +223,26 @@ mod tests {
     #[test]
     fn declared_extras_are_collected_with_shared_flags() {
         let (a, extras) = Args::parse_from_with_extras(
-            strings(&[
-                "--seed",
-                "9",
-                "--clients",
-                "3",
-                "--rps",
-                "250.5",
-                "--verbose",
-            ]),
+            strings(&["--seed", "9", "--clients", "3", "--rps", "250.5"]),
             &["--clients", "--rps"],
-            &["--verbose"],
         );
         assert_eq!(a.seed, 9);
         assert_eq!(extras.get::<usize>("--clients"), Some(3));
         assert_eq!(extras.get_or("--rps", 100.0), 250.5);
         assert_eq!(extras.get_or("--absent", 7u64), 7);
-        assert!(extras.flag("--verbose"));
-        assert!(!extras.flag("--quiet"));
     }
 
     #[test]
     #[should_panic(expected = "unknown argument: --bogus")]
     fn undeclared_extras_are_still_rejected() {
-        let _ = Args::parse_from_with_extras(strings(&["--bogus"]), &["--clients"], &[]);
+        let _ = Args::parse_from_with_extras(strings(&["--bogus"]), &["--clients"]);
     }
 
     #[test]
     #[should_panic(expected = "unparseable value")]
     fn extras_fail_loud_on_bad_values() {
         let (_, extras) =
-            Args::parse_from_with_extras(strings(&["--clients", "many"]), &["--clients"], &[]);
+            Args::parse_from_with_extras(strings(&["--clients", "many"]), &["--clients"]);
         let _ = extras.get::<usize>("--clients");
     }
 }

@@ -1,7 +1,7 @@
 //! # pfp-bench
 //!
-//! Criterion micro-benchmarks (`benches/`) and the table/figure reproduction
-//! binaries (`src/bin/repro_*.rs`).
+//! The table/figure reproduction binaries and the serving, scaling and
+//! convergence harnesses (`src/bin/repro_*.rs`).
 //!
 //! This library crate only hosts the tiny bits shared by those binaries (and
 //! by the workspace's integration tests): a dependency-free command-line

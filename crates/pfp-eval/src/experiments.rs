@@ -431,8 +431,8 @@ pub fn joint_overfit_report(dataset: &Dataset, config: &ComparisonConfig) -> Joi
     }
 }
 
-/// Summaries used by the ablation benches: accuracy of the DMCP feature map
-/// against the MPP / SCP / LR maps under identical training budgets.
+/// Feature-map ablation summary: accuracy of the DMCP feature map against
+/// the MPP / SCP / LR maps under identical training budgets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationReport {
     /// `(method, AC_C, AC_D)` rows.

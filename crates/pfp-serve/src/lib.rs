@@ -45,11 +45,11 @@
 //!   erroring.  Healthy-path answers stay bitwise identical to
 //!   [`DmcpModel::probabilities`].
 //! * [`ServeClient::predict_with_retry`] retries transient errors (and only
-//!   those — never [`ServeError::FeatureDim`]) on a budgeted doubling
-//!   backoff.
+//!   those — never a malformed request) on a budgeted doubling backoff.
 //!
-//! A malformed request gets [`ServeError::FeatureDim`], and requests after
-//! shutdown get [`ServeError::ShutDown`]; both are permanent
+//! A malformed request gets [`ServeError::FeatureDim`] (wrong dimension) or
+//! [`ServeError::NonFinite`] (a NaN or infinite value), and requests after
+//! shutdown get [`ServeError::ShutDown`]; all three are permanent
 //! (`!is_retryable`).
 //!
 //! ## Example
@@ -178,6 +178,23 @@ mod tests {
         );
         // The service is still healthy afterwards.
         assert!(client.predict(request(0)).is_ok());
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_not_answered_uniformly() {
+        let service = PredictionService::start(test_model(), ServeConfig::default());
+        let client = service.client();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let features = SparseVec::from_pairs(6, vec![(1, 0.5), (4, bad)]);
+            assert_eq!(
+                client.predict(features).unwrap_err(),
+                ServeError::NonFinite { index: 4 },
+                "value {bad} must be refused"
+            );
+        }
+        // The service is still healthy afterwards.
+        assert!(client.predict(request(0)).is_ok());
+        service.shutdown();
     }
 
     #[test]

@@ -70,6 +70,10 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// The request's feature vector does not match the model's dimension.
     FeatureDim { expected: usize, got: usize },
+    /// The request carries a NaN or infinite value at feature `index`;
+    /// rejected at submission, since its scores would collapse the softmax
+    /// to a uniform answer indistinguishable from a real one.
+    NonFinite { index: usize },
     /// The scoring pool failed mid-batch (a worker thread died) and no
     /// fallback predictor was configured; the request was not scored.
     Pool(PoolError),
@@ -85,8 +89,8 @@ pub enum ServeError {
 impl ServeError {
     /// Whether retrying the same request can possibly succeed.  Transient
     /// conditions (pool failure mid-heal, overload, a missed deadline) are
-    /// retryable; a malformed request ([`ServeError::FeatureDim`]) or a
-    /// stopped service ([`ServeError::ShutDown`]) will fail identically every
+    /// retryable; a malformed request ([`ServeError::FeatureDim`],
+    /// [`ServeError::NonFinite`]) or a stopped service ([`ServeError::ShutDown`]) will fail identically every
     /// time and must not be retried.
     pub fn is_retryable(&self) -> bool {
         matches!(
@@ -103,6 +107,9 @@ impl std::fmt::Display for ServeError {
                 f,
                 "feature dimension mismatch: model expects {expected}, request has {got}"
             ),
+            ServeError::NonFinite { index } => {
+                write!(f, "non-finite feature value at index {index}")
+            }
             ServeError::Pool(err) => write!(f, "scoring pool failure: {err}"),
             ServeError::Overloaded { capacity } => {
                 write!(f, "request shed: service queue at capacity ({capacity})")
@@ -513,7 +520,9 @@ impl ServeClient {
     ///
     /// This is the admission-control point: if the bounded request queue is
     /// full the request is shed immediately with
-    /// [`ServeError::Overloaded`] — it never queues unboundedly.  The
+    /// [`ServeError::Overloaded`] — it never queues unboundedly.  A request
+    /// holding a NaN or infinite value is refused here too, with
+    /// [`ServeError::NonFinite`], and never reaches the scorer.  The
     /// request inherits [`ServeConfig::default_deadline`] when one is set.
     pub fn submit(&self, features: SparseVec) -> Result<PendingPrediction, ServeError> {
         self.submit_inner(features, self.default_deadline.map(|d| Instant::now() + d))
@@ -535,6 +544,11 @@ impl ServeClient {
         features: SparseVec,
         deadline: Option<Instant>,
     ) -> Result<PendingPrediction, ServeError> {
+        if let Some((index, _)) = features.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(ServeError::NonFinite {
+                index: index as usize,
+            });
+        }
         let (reply_tx, reply_rx) = channel();
         match self.tx.try_send(Msg::Predict {
             features,
@@ -572,7 +586,7 @@ impl ServeClient {
     /// [`ServeError::is_retryable`] holds (a pool failure mid-heal, a shed,
     /// a missed deadline), sleeping a doubling backoff between attempts.
     /// Non-retryable errors ([`ServeError::FeatureDim`],
-    /// [`ServeError::ShutDown`]) return immediately — retrying a malformed
+    /// [`ServeError::NonFinite`], [`ServeError::ShutDown`]) return immediately — retrying a malformed
     /// request would only burn the budget on identical failures.
     pub fn predict_with_retry(
         &self,

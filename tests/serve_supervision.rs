@@ -283,22 +283,29 @@ fn malformed_requests_are_never_retried() {
         initial_backoff: Duration::from_secs(5),
         max_backoff: Duration::from_secs(5),
     };
-    let started = Instant::now();
-    let err = client
-        .predict_with_retry(&SparseVec::binary(3, vec![0]), &policy)
-        .unwrap_err();
-    assert_eq!(
-        err,
-        ServeError::FeatureDim {
-            expected: 6,
-            got: 3
-        }
-    );
-    assert!(!err.is_retryable());
-    assert!(
-        started.elapsed() < Duration::from_secs(2),
-        "non-retryable errors must fail without sleeping the backoff"
-    );
+    let malformed = [
+        (
+            SparseVec::binary(3, vec![0]),
+            ServeError::FeatureDim {
+                expected: 6,
+                got: 3,
+            },
+        ),
+        (
+            SparseVec::from_pairs(6, vec![(2, f64::NAN)]),
+            ServeError::NonFinite { index: 2 },
+        ),
+    ];
+    for (features, expected) in malformed {
+        let started = Instant::now();
+        let err = client.predict_with_retry(&features, &policy).unwrap_err();
+        assert_eq!(err, expected);
+        assert!(!err.is_retryable());
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "non-retryable errors must fail without sleeping the backoff"
+        );
+    }
     service.shutdown();
 }
 
@@ -313,5 +320,6 @@ fn retryable_classification_matches_the_failure_semantics_table() {
         got: 2
     }
     .is_retryable());
+    assert!(!ServeError::NonFinite { index: 0 }.is_retryable());
     assert!(!ServeError::ShutDown.is_retryable());
 }
