@@ -84,9 +84,9 @@ pub struct TrainConfig {
     /// bitwise-deterministic for a fixed thread count, and results across
     /// thread counts agree to floating-point rounding (≲1e-12) — see the
     /// determinism contract in [`crate::loss`].  When an outer harness
-    /// already parallelises (e.g. CV folds), pass the inner share of a
-    /// thread budget (`pfp_eval::cv::ThreadBudget`) down here instead of `0`
-    /// to avoid oversubscription.
+    /// already parallelises (e.g. CV folds run concurrently), pass each
+    /// fold its share of the machine here instead of `0`, so
+    /// `folds × threads` does not oversubscribe it.
     pub threads: usize,
     /// Objective-plateau stopping criterion (`None` — the default — keeps the
     /// solver on residual stopping alone).  Sweep and CV drivers turn it on:

@@ -33,7 +33,7 @@ use pfp_core::loss::{value_and_gradient_unbatched, DmcpObjective};
 use pfp_core::{Dataset, SolverMode};
 use pfp_ehr::generate_cohort;
 use pfp_math::Matrix;
-use pfp_optim::admm::{solve_group_lasso, AdmmResult, SmoothObjective};
+use pfp_optim::admm::{solve_group_lasso, SmoothObjective};
 
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f(); // warm-up
@@ -42,22 +42,6 @@ fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() / reps as f64
-}
-
-/// Objective passes the adaptive solve needed before its trace first reached
-/// `target` (1 initial evaluation + the per-outer evaluation counts).
-fn passes_to_reach(result: &AdmmResult, target: f64) -> Option<usize> {
-    let mut cumulative = 1usize;
-    if result.objective_trace[0] <= target {
-        return Some(cumulative);
-    }
-    for (outer, evals) in result.evaluations_by_outer.iter().enumerate() {
-        cumulative += evals;
-        if result.objective_trace[outer + 1] <= target {
-            return Some(cumulative);
-        }
-    }
-    None
 }
 
 fn main() {
@@ -167,8 +151,10 @@ fn main() {
         adaptive_final <= target,
         "adaptive solve must reach the fixed-budget objective: {adaptive_final} vs {fixed_final}"
     );
-    let passes_to_tolerance =
-        passes_to_reach(&adaptive, target).expect("trace reached the target objective");
+    let passes_to_tolerance = adaptive
+        .passes_to_reach(target)
+        .expect("trace reached the target objective")
+        .0;
     // CI regression gate: the adaptive solver may never pay more passes than
     // the fixed-budget baseline it replaces.
     assert!(

@@ -67,23 +67,6 @@ use pfp_optim::admm::{solve_group_lasso, solve_group_lasso_warm, AdmmResult};
 /// through (the objective must still match to 1e-6).
 const CU_TOLERANCE: f64 = 0.05;
 
-/// Objective passes until the trace first reached `target` (1 initial
-/// evaluation + the per-outer evaluation counts), plus the outer iteration
-/// index it happened at (0 = the warm start was already at target).
-fn passes_to_reach(result: &AdmmResult, target: f64) -> Option<(usize, usize)> {
-    let mut cumulative = 1usize;
-    if result.objective_trace[0] <= target {
-        return Some((cumulative, 0));
-    }
-    for (outer, evals) in result.evaluations_by_outer.iter().enumerate() {
-        cumulative += evals;
-        if result.objective_trace[outer + 1] <= target {
-            return Some((cumulative, outer + 1));
-        }
-    }
-    None
-}
-
 /// One solve of a chain: the featurized training samples, the validation
 /// split to score on, and the exact trainer configuration.
 struct SolveSpec<'a> {
@@ -195,7 +178,7 @@ fn run_chain(specs: &[SolveSpec], threads: usize) -> Vec<SolveRecord> {
         assert!(probe.theta.is_finite());
         assert_eq!(counting_probe.passes(), probe.evaluations);
         let probe_evaluations = probe.evaluations;
-        let reached = passes_to_reach(&probe, cold_final + 1e-6);
+        let reached = probe.passes_to_reach(cold_final + 1e-6);
 
         // Replay the probe's prefix up to the reach point (the solver is
         // deterministic, so truncating the outer cap reproduces the same

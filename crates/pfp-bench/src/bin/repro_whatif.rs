@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use pfp_baselines::{DmcpPredictor, FlowPredictor, GenerativePredictor, MarkovPredictor, MethodId};
 use pfp_bench::{render_table, Args};
+use pfp_core::Dataset;
 use pfp_ehr::departments::{CareUnit, NUM_CARE_UNITS};
 use pfp_ehr::generate_cohort;
-use pfp_eval::build_dataset;
 use pfp_eval::census::{census_errors_f64, CENSUS_DAYS};
 use pfp_eval::scenario::{
     actual_census, evaluate_scenarios, forecast_census, AdmissionModel, CensusForecast,
@@ -88,7 +88,7 @@ fn main() {
     assert!(rollouts >= 1, "--rollouts must be at least 1");
 
     let cohort = generate_cohort(&args.cohort_config());
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.2, args.seed);
     println!(
         "What-if run: {} train / {} test patients, {} rollouts, seed {}, {} training",

@@ -1,6 +1,9 @@
 //! A tiny dependency-free flag parser shared by the reproduction binaries.
 //!
-//! Every `repro_*` binary accepts:
+//! `repro_paper`, `repro_fused_speedup` and `repro_warmstart` accept exactly
+//! the shared flags below; `repro_chaos` and `repro_whatif` accept them plus
+//! their own declared extras.  `repro_scale` sizes its cohort by patient
+//! count, not scale, and parses its own flags.  The shared flags are:
 //!
 //! * `--scale <f64>`   — cohort scale relative to the paper's 30,685 patients
 //!   (default 0.05, i.e. ~1,500 patients; use 1.0 for the full scale).

@@ -1,7 +1,8 @@
 //! # pfp-bench
 //!
-//! The table/figure reproduction binaries and the serving, scaling and
-//! convergence harnesses (`src/bin/repro_*.rs`).
+//! `repro_paper`, which regenerates every table and figure of the paper in
+//! one run, and the five gated serving, scaling, census and convergence
+//! harnesses (`src/bin/repro_*.rs`).
 //!
 //! This library crate only hosts the tiny bits shared by those binaries (and
 //! by the workspace's integration tests): a dependency-free command-line

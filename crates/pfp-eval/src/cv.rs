@@ -4,58 +4,16 @@
 //! parallel, so the harness runs folds on `std::thread::scope` threads — but
 //! since DMCP training is itself sample-parallel (`TrainConfig::threads`),
 //! running all folds at once would oversubscribe the machine with
-//! `folds × inner-threads` workers.  [`ThreadBudget`] splits the available
-//! parallelism between the two levels, and [`cross_validate_budgeted`] caps
+//! `folds × inner-threads` workers.  [`cross_validate_warm`] therefore caps
 //! how many folds are in flight at once.  Fold results are always collected
-//! in fold order, so the concurrency cap never changes the output.
+//! in fold order, so the concurrency cap never changes which validation
+//! split a report belongs to.
 
 use pfp_baselines::FlowPredictor;
 use pfp_core::{Dataset, WarmStart};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{evaluate, AccuracyReport};
-
-/// A split of the machine's parallelism between concurrent CV folds and the
-/// sample-sharded training threads inside each fold.
-///
-/// The product `fold_threads × inner_threads` never exceeds the total the
-/// budget was built from, so nesting fold-parallel CV around sample-parallel
-/// training cannot oversubscribe the machine.
-///
-/// ```
-/// use pfp_eval::cv::ThreadBudget;
-///
-/// let budget = ThreadBudget::split(10, 16); // 10 folds on 16 cores
-/// assert_eq!((budget.fold_threads, budget.inner_threads), (10, 1));
-/// let budget = ThreadBudget::split(2, 16); // 2 folds on 16 cores
-/// assert_eq!((budget.fold_threads, budget.inner_threads), (2, 8));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadBudget {
-    /// How many folds to train concurrently.
-    pub fold_threads: usize,
-    /// Sample-accumulation threads for each fold's inner training
-    /// (`TrainConfig::threads`).
-    pub inner_threads: usize,
-}
-
-impl ThreadBudget {
-    /// Split the machine's available parallelism across `folds` concurrent
-    /// folds (outer level first: folds get threads before inner training).
-    pub fn for_folds(folds: usize) -> Self {
-        Self::split(folds, pfp_math::parallel::resolve_threads(0))
-    }
-
-    /// Split an explicit `total` thread budget across `folds` folds.
-    pub fn split(folds: usize, total: usize) -> Self {
-        let total = total.max(1);
-        let fold_threads = folds.clamp(1, total);
-        Self {
-            fold_threads,
-            inner_threads: (total / fold_threads).max(1),
-        }
-    }
-}
 
 /// Aggregated cross-validation result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,100 +43,39 @@ impl CvResult {
 }
 
 /// Run `k`-fold cross-validation, training with `train_fn` on each fold's
-/// training split and evaluating on its validation split.
-///
-/// At most [`ThreadBudget::for_folds`]`(k).fold_threads` folds train
-/// concurrently, so a machine with fewer cores than folds is not
-/// oversubscribed, and neither is one where `train_fn` itself shards training
-/// over its share of the budget.  To pair fold- and sample-level parallelism
-/// explicitly, compute a [`ThreadBudget`] and pass `budget.inner_threads` to
-/// `TrainConfig::with_threads` inside `train_fn`:
-///
-/// ```no_run
-/// use pfp_baselines::{DmcpPredictor, MethodId};
-/// use pfp_core::TrainConfig;
-/// use pfp_eval::cv::{cross_validate, ThreadBudget};
-/// # let dataset: pfp_core::Dataset = unimplemented!();
-///
-/// let budget = ThreadBudget::for_folds(10);
-/// let config = TrainConfig::paper_default().with_threads(budget.inner_threads);
-/// let result = cross_validate(&dataset, 10, 7, |train| {
-///     DmcpPredictor::train(train, &config, MethodId::Dmcp)
-/// });
-/// ```
-pub fn cross_validate<P, F>(dataset: &Dataset, k: usize, seed: u64, train_fn: F) -> CvResult
-where
-    P: FlowPredictor + Send,
-    F: Fn(&Dataset) -> P + Sync,
-{
-    cross_validate_budgeted(
-        dataset,
-        k,
-        seed,
-        ThreadBudget::for_folds(k).fold_threads,
-        train_fn,
-    )
-}
-
-/// [`cross_validate`] with an explicit cap on how many folds are in flight at
-/// once.  Folds run in waves of `max_concurrent_folds` scoped threads;
-/// reports are collected in fold order, so the cap only changes scheduling,
-/// never the result (given a deterministic `train_fn`).
-pub fn cross_validate_budgeted<P, F>(
-    dataset: &Dataset,
-    k: usize,
-    seed: u64,
-    max_concurrent_folds: usize,
-    train_fn: F,
-) -> CvResult
-where
-    P: FlowPredictor + Send,
-    F: Fn(&Dataset) -> P + Sync,
-{
-    let folds = dataset.k_folds(k, seed);
-    let max_concurrent = max_concurrent_folds.max(1);
-    let mut fold_reports: Vec<AccuracyReport> = Vec::with_capacity(folds.len());
-    for wave in folds.chunks(max_concurrent) {
-        let wave_reports: Vec<AccuracyReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|(train, val)| {
-                    let train_fn = &train_fn;
-                    scope.spawn(move || {
-                        let model = train_fn(train);
-                        evaluate(&model, val)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fold thread panicked"))
-                .collect()
-        });
-        fold_reports.extend(wave_reports);
-    }
-
-    let mean = AccuracyReport::average(&fold_reports);
-    CvResult { fold_reports, mean }
-}
-
-/// [`cross_validate_budgeted`] with ADMM warm-start state carried across
-/// folds.
+/// training split and evaluating on its validation split, with ADMM
+/// warm-start state carried across folds.
 ///
 /// `train_fn` receives the fold's training split plus the warm state carried
 /// over from earlier folds (`None` for the very first wave), and returns the
 /// trained predictor together with the state to carry forward (`None` keeps
 /// the current carry).  Fold models differ only in which ~`1/k` of the
 /// patients are held out, so the previous fold's `(Θ, Y, ρ, step)` is close
-/// to the next fold's solution and cuts its passes-to-tolerance.
+/// to the next fold's solution and cuts its passes-to-tolerance.  A cold CV
+/// is a `train_fn` that always returns `None`: no state is ever carried, and
+/// every fold sees `None`.
 ///
-/// Scheduling is wave-based like [`cross_validate_budgeted`]: every fold in a
-/// wave of `max_concurrent_folds` seeds from the carry left by the *previous*
-/// wave (the last fold, in fold order, that returned a state).  With
+/// Folds run in waves of `max_concurrent_folds` scoped threads, and every
+/// fold in a wave seeds from the carry left by the *previous* wave (the last
+/// fold, in fold order, that returned a state).  With
 /// `max_concurrent_folds = 1` this is strict fold-to-fold chaining; with a
-/// larger cap the folds inside one wave share a seed, so — unlike the cold
-/// [`cross_validate_budgeted`] — the concurrency cap changes which seed each
-/// fold sees (never the validation split or the stopping tolerances).
+/// larger cap the folds inside one wave share a seed, so the cap changes
+/// which seed each fold sees (never the validation split or the stopping
+/// tolerances).  For a cold CV the cap only changes scheduling, never the
+/// result (given a deterministic `train_fn`).
+///
+/// ```no_run
+/// use pfp_baselines::{DmcpPredictor, MethodId};
+/// use pfp_core::TrainConfig;
+/// use pfp_eval::cv::cross_validate_warm;
+/// # let dataset: pfp_core::Dataset = unimplemented!();
+///
+/// // Cold 10-fold CV, two folds at a time, each training on one thread.
+/// let config = TrainConfig::paper_default().with_threads(1);
+/// let result = cross_validate_warm(&dataset, 10, 7, 2, |train, _| {
+///     (DmcpPredictor::train(train, &config, MethodId::Dmcp), None)
+/// });
+/// ```
 pub fn cross_validate_warm<P, F>(
     dataset: &Dataset,
     k: usize,
@@ -230,10 +127,15 @@ mod tests {
     use pfp_baselines::MarkovPredictor;
     use pfp_ehr::{generate_cohort, CohortConfig};
 
+    /// A cold fold trainer: fits Markov and never carries a state.
+    fn cold(train: &Dataset, _: Option<&WarmStart>) -> (MarkovPredictor, Option<WarmStart>) {
+        (MarkovPredictor::train(train), None)
+    }
+
     #[test]
     fn cross_validation_produces_one_report_per_fold() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(141)));
-        let result = cross_validate(&ds, 4, 9, MarkovPredictor::train);
+        let result = cross_validate_warm(&ds, 4, 9, 4, cold);
         assert_eq!(result.fold_reports.len(), 4);
         for r in &result.fold_reports {
             assert!(r.num_samples > 0);
@@ -247,7 +149,7 @@ mod tests {
     #[test]
     fn fold_validation_sets_partition_the_samples() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(142)));
-        let result = cross_validate(&ds, 5, 11, MarkovPredictor::train);
+        let result = cross_validate_warm(&ds, 5, 11, 5, cold);
         let total: usize = result.fold_reports.iter().map(|r| r.num_samples).sum();
         assert_eq!(total, ds.len());
     }
@@ -255,9 +157,13 @@ mod tests {
     #[test]
     fn fold_concurrency_cap_does_not_change_the_result() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(143)));
-        let all_at_once = cross_validate_budgeted(&ds, 4, 9, 4, MarkovPredictor::train);
-        let one_at_a_time = cross_validate_budgeted(&ds, 4, 9, 1, MarkovPredictor::train);
-        let two_waves = cross_validate_budgeted(&ds, 4, 9, 2, MarkovPredictor::train);
+        let cold_checked = |train: &Dataset, carry: Option<&WarmStart>| {
+            assert!(carry.is_none(), "nobody returned a state, so none arrives");
+            cold(train, carry)
+        };
+        let all_at_once = cross_validate_warm(&ds, 4, 9, 4, cold_checked);
+        let one_at_a_time = cross_validate_warm(&ds, 4, 9, 1, cold_checked);
+        let two_waves = cross_validate_warm(&ds, 4, 9, 2, cold_checked);
         for (a, b) in all_at_once
             .fold_reports
             .iter()
@@ -267,20 +173,6 @@ mod tests {
             assert!((a.overall_cu - b.overall_cu).abs() < 1e-15);
         }
         assert!((all_at_once.mean.overall_cu - two_waves.mean.overall_cu).abs() < 1e-15);
-    }
-
-    #[test]
-    fn warm_cv_with_no_carry_matches_the_cold_harness() {
-        let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(144)));
-        let cold = cross_validate_budgeted(&ds, 4, 9, 2, MarkovPredictor::train);
-        let warm = cross_validate_warm(&ds, 4, 9, 2, |train, carry| {
-            assert!(carry.is_none(), "nobody returned a state, so none arrives");
-            (MarkovPredictor::train(train), None)
-        });
-        for (a, b) in cold.fold_reports.iter().zip(warm.fold_reports.iter()) {
-            assert_eq!(a.num_samples, b.num_samples);
-            assert!((a.overall_cu - b.overall_cu).abs() < 1e-15);
-        }
     }
 
     #[test]
@@ -307,24 +199,5 @@ mod tests {
                 "cap={cap}: every fold after the first wave should see a carry"
             );
         }
-    }
-
-    #[test]
-    fn thread_budget_never_oversubscribes() {
-        for folds in [1usize, 2, 3, 10] {
-            for total in [1usize, 2, 4, 8, 16, 64] {
-                let b = ThreadBudget::split(folds, total);
-                assert!(b.fold_threads >= 1 && b.inner_threads >= 1);
-                assert!(
-                    b.fold_threads * b.inner_threads <= total.max(1),
-                    "folds={folds} total={total} → {b:?}"
-                );
-            }
-        }
-        // Outer level wins ties: folds soak up threads before inner training.
-        assert_eq!(ThreadBudget::split(10, 16).fold_threads, 10);
-        assert_eq!(ThreadBudget::split(10, 4).fold_threads, 4);
-        assert_eq!(ThreadBudget::split(2, 16).inner_threads, 8);
-        assert!(ThreadBudget::for_folds(4).fold_threads >= 1);
     }
 }

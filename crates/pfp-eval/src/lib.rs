@@ -6,8 +6,6 @@
 //! regenerate every table and figure of the paper.
 //!
 //! Modules:
-//! * [`dataset`] — converts a [`pfp_ehr::Cohort`] into the feature/label
-//!   samples shared by every method, plus train/test and k-fold splitting.
 //! * [`metrics`] — per-class accuracy `AC_c` / `AC_d`, overall `AC_C` /
 //!   `AC_D`, confusion matrices.
 //! * [`census`] — 7-day patient-census simulation and the relative
@@ -21,9 +19,6 @@
 
 pub mod census;
 pub mod cv;
-pub mod dataset;
 pub mod experiments;
 pub mod metrics;
 pub mod scenario;
-
-pub use dataset::build_dataset;

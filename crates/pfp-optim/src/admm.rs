@@ -414,7 +414,8 @@ pub struct AdmmResult {
     pub evaluations: usize,
     /// Objective evaluations attributable to each outer iteration (excludes
     /// the single initial evaluation).  Summing a prefix gives the
-    /// passes-to-reach-a-trace-entry accounting used by `repro_fused_speedup`.
+    /// passes-to-reach-a-trace-entry accounting of
+    /// [`passes_to_reach`](Self::passes_to_reach).
     pub evaluations_by_outer: Vec<usize>,
     /// Accepted accelerated-Θ-update step size at exit (`0.0` under the
     /// fixed-step Θ-update, which carries no step history).
@@ -434,6 +435,24 @@ impl AdmmResult {
             rho: self.final_rho,
             step: self.final_step,
         }
+    }
+
+    /// Objective passes until the trace first reached `target` (1 initial
+    /// evaluation + the per-outer evaluation counts), plus the outer
+    /// iteration index it happened at (0 = the starting point was already at
+    /// target).  `None` if no trace entry reached it.
+    pub fn passes_to_reach(&self, target: f64) -> Option<(usize, usize)> {
+        let mut cumulative = 1usize;
+        if self.objective_trace[0] <= target {
+            return Some((cumulative, 0));
+        }
+        for (outer, evals) in self.evaluations_by_outer.iter().enumerate() {
+            cumulative += evals;
+            if self.objective_trace[outer + 1] <= target {
+                return Some((cumulative, outer + 1));
+            }
+        }
+        None
     }
 }
 
@@ -1118,6 +1137,33 @@ mod tests {
             1 + res.evaluations_by_outer.iter().sum::<usize>(),
             "per-outer accounting must sum to the total"
         );
+    }
+
+    #[test]
+    fn passes_to_reach_walks_the_trace_prefix() {
+        let res = AdmmResult {
+            theta: Matrix::zeros(1, 1),
+            x: Matrix::zeros(1, 1),
+            y: Matrix::zeros(1, 1),
+            objective_trace: vec![10.0, 8.0, 5.0, 3.0],
+            outer_iterations: 3,
+            converged: true,
+            final_rho: 1.0,
+            primal_residual: 0.0,
+            dual_residual: 0.0,
+            inner_iterations: 9,
+            evaluations: 1 + 2 + 3 + 4,
+            evaluations_by_outer: vec![2, 3, 4],
+            final_step: 0.0,
+            plateau_stopped: false,
+        };
+        // The starting point is already at target: only the initial pass.
+        assert_eq!(res.passes_to_reach(10.0), Some((1, 0)));
+        // Reached at the second outer: 1 initial + 2 + 3 passes.
+        assert_eq!(res.passes_to_reach(5.0), Some((6, 2)));
+        assert_eq!(res.passes_to_reach(3.0), Some((res.evaluations, 3)));
+        // Never reached.
+        assert_eq!(res.passes_to_reach(1.0), None);
     }
 
     #[test]

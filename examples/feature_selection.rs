@@ -6,14 +6,13 @@
 //! cargo run --example feature_selection --release
 //! ```
 
-use patient_flow::core::{DmcpModel, TrainConfig};
+use patient_flow::core::{Dataset, DmcpModel, TrainConfig};
 use patient_flow::ehr::features::FeatureDomain;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 
 fn main() {
     let cohort = generate_cohort(&CohortConfig::small(33));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let dict = *cohort.features();
     let base = TrainConfig::paper_default();
 

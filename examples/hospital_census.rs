@@ -8,15 +8,14 @@
 //! ```
 
 use patient_flow::baselines::{DmcpPredictor, MarkovPredictor, MethodId};
-use patient_flow::core::TrainConfig;
+use patient_flow::core::{Dataset, TrainConfig};
 use patient_flow::ehr::departments::{CareUnit, NUM_CARE_UNITS};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::eval::census::{simulate_census, CENSUS_DAYS};
-use patient_flow::eval::dataset::build_dataset;
 
 fn main() {
     let cohort = generate_cohort(&CohortConfig::small(7));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.2, 7);
     println!(
         "planning horizon: {CENSUS_DAYS} days, {} newly admitted patients to forecast",

@@ -9,15 +9,14 @@
 
 use patient_flow::baselines::predictor::HierarchicalPredictor;
 use patient_flow::baselines::{DmcpPredictor, FlowPredictor, MethodId};
-use patient_flow::core::TrainConfig;
+use patient_flow::core::{Dataset, TrainConfig};
 use patient_flow::ehr::departments::CareUnit;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::metrics::evaluate;
 
 fn main() {
     let cohort = generate_cohort(&CohortConfig::small(21));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.15, 21);
     let base = TrainConfig::paper_default();
 

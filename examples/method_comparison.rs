@@ -7,13 +7,13 @@
 //! ```
 
 use patient_flow::baselines::MethodId;
+use patient_flow::core::Dataset;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::experiments::{method_comparison, ComparisonConfig};
 
 fn main() {
     let cohort = generate_cohort(&CohortConfig::small(55));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let config = ComparisonConfig::standard(55);
 
     let methods = [

@@ -6,9 +6,8 @@
 //! ```
 
 use patient_flow::baselines::{DmcpPredictor, MethodId};
-use patient_flow::core::{DmcpModel, TrainConfig};
+use patient_flow::core::{Dataset, DmcpModel, TrainConfig};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::metrics::{evaluate, overall_cu_accuracy, overall_duration_accuracy};
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
     );
 
     // 2. Extract transition samples and hold out 10% of patients.
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.1, 42);
     println!(
         "train: {} samples, test: {} samples",

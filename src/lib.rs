@@ -28,12 +28,11 @@
 //!
 //! ```
 //! use patient_flow::ehr::{CohortConfig, generate_cohort};
-//! use patient_flow::core::{DmcpModel, TrainConfig};
-//! use patient_flow::eval::dataset::build_dataset;
+//! use patient_flow::core::{Dataset, DmcpModel, TrainConfig};
 //!
 //! // A tiny cohort so the doctest stays fast.
 //! let cohort = generate_cohort(&CohortConfig::tiny(7));
-//! let dataset = build_dataset(&cohort);
+//! let dataset = Dataset::from_cohort(&cohort);
 //! let (train, test) = dataset.split_holdout(0.2, 7);
 //! let model = DmcpModel::train(&train, &TrainConfig::fast());
 //! let acc = patient_flow::eval::metrics::overall_cu_accuracy(&model, &test);

@@ -3,17 +3,16 @@
 //! simulation.
 
 use patient_flow::baselines::{DmcpPredictor, FlowPredictor, MarkovPredictor, MethodId};
-use patient_flow::core::{DmcpModel, TrainConfig};
+use patient_flow::core::{Dataset, DmcpModel, TrainConfig};
 use patient_flow::ehr::departments::CareUnit;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::eval::census::simulate_census;
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::metrics::{evaluate, overall_cu_accuracy};
 
 #[test]
 fn full_pipeline_beats_the_majority_class_baseline() {
     let cohort = generate_cohort(&CohortConfig::small(201));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.2, 201);
 
     let model = DmcpModel::train(&train, &TrainConfig::fast());
@@ -34,7 +33,7 @@ fn full_pipeline_beats_the_majority_class_baseline() {
 fn pipeline_is_fully_deterministic_for_a_fixed_seed() {
     let run = || {
         let cohort = generate_cohort(&CohortConfig::tiny(202));
-        let dataset = build_dataset(&cohort);
+        let dataset = Dataset::from_cohort(&cohort);
         let (train, test) = dataset.split_holdout(0.2, 5);
         let model = DmcpModel::train(&train, &TrainConfig::fast());
         overall_cu_accuracy(&model, &test)
@@ -48,7 +47,7 @@ fn dmcp_recovers_rare_unit_signal_better_than_markov() {
     // feature-aware model must beat the feature-free Markov chain on the
     // rarely visited units (which MC essentially never predicts).
     let cohort = generate_cohort(&CohortConfig::small(203));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.2, 203);
 
     let dmcp = DmcpPredictor::train(&train, &TrainConfig::fast(), MethodId::Sdmcp);
@@ -77,7 +76,7 @@ fn dmcp_recovers_rare_unit_signal_better_than_markov() {
 #[test]
 fn census_simulation_runs_for_trained_and_count_based_models() {
     let cohort = generate_cohort(&CohortConfig::tiny(204));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let (train, test) = dataset.split_holdout(0.3, 204);
 
     let dmcp = DmcpPredictor::train(&train, &TrainConfig::fast(), MethodId::Dmcp);
@@ -101,7 +100,7 @@ fn census_simulation_runs_for_trained_and_count_based_models() {
 #[test]
 fn group_lasso_reports_shared_feature_selection() {
     let cohort = generate_cohort(&CohortConfig::tiny(205));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let strong = DmcpModel::train(&dataset, &TrainConfig::fast().with_gamma(0.05));
     assert!(strong.num_selected() < strong.num_features());
     assert!(strong.sparsity() > 0.0);

@@ -2,10 +2,9 @@
 //! must run end-to-end on a tiny cohort and produce well-formed output.
 
 use patient_flow::baselines::MethodId;
-use patient_flow::core::TrainConfig;
+use patient_flow::core::{Dataset, TrainConfig};
 use patient_flow::ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::experiments::{
     fig2_report, fig3_report, fig7_report, fig8_report, joint_overfit_report, method_comparison,
     table1_report, table2_report, ComparisonConfig,
@@ -46,7 +45,7 @@ fn fig3_report_produces_four_positive_series() {
 
 #[test]
 fn full_method_comparison_covers_all_twelve_methods() {
-    let dataset = build_dataset(&cohort());
+    let dataset = Dataset::from_cohort(&cohort());
     let config = ComparisonConfig::fast(402);
     let results = method_comparison(&dataset, &MethodId::ALL, &config);
     assert_eq!(results.len(), 12);
@@ -60,7 +59,7 @@ fn full_method_comparison_covers_all_twelve_methods() {
 #[test]
 fn fig7_fig8_and_joint_reports_run_on_tiny_cohorts() {
     let c = cohort();
-    let dataset = build_dataset(&c);
+    let dataset = Dataset::from_cohort(&c);
     let f7 = fig7_report(&dataset, &TrainConfig::fast(), c.features());
     assert_eq!(f7.domains.len(), 4);
 

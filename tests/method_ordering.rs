@@ -3,8 +3,8 @@
 //! absolute numbers differ.
 
 use patient_flow::baselines::MethodId;
+use patient_flow::core::Dataset;
 use patient_flow::ehr::{generate_cohort, CohortConfig};
-use patient_flow::eval::dataset::build_dataset;
 use patient_flow::eval::experiments::{feature_map_ablation, method_comparison, ComparisonConfig};
 
 fn overall_cu(results: &[patient_flow::eval::experiments::MethodResult], m: MethodId) -> f64 {
@@ -19,7 +19,7 @@ fn overall_cu(results: &[patient_flow::eval::experiments::MethodResult], m: Meth
 #[test]
 fn feature_aware_methods_beat_feature_free_methods_on_destination_accuracy() {
     let cohort = generate_cohort(&CohortConfig::small(301));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let config = ComparisonConfig::fast(301);
     let results = method_comparison(
         &dataset,
@@ -49,7 +49,7 @@ fn feature_aware_methods_beat_feature_free_methods_on_destination_accuracy() {
 #[test]
 fn dmcp_feature_map_is_at_least_as_good_as_the_simpler_maps() {
     let cohort = generate_cohort(&CohortConfig::small(302));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let config = ComparisonConfig::fast(302);
     let ablation = feature_map_ablation(&dataset, &config);
 
@@ -86,7 +86,7 @@ fn dmcp_feature_map_is_at_least_as_good_as_the_simpler_maps() {
 #[test]
 fn census_error_of_dmcp_is_not_worse_than_feature_free_baselines() {
     let cohort = generate_cohort(&CohortConfig::small(303));
-    let dataset = build_dataset(&cohort);
+    let dataset = Dataset::from_cohort(&cohort);
     let config = ComparisonConfig::fast(303);
     let results = method_comparison(
         &dataset,

@@ -20,7 +20,7 @@ use patient_flow::core::{
 };
 use patient_flow::ehr::{generate_cohort, CohortConfig};
 use patient_flow::math::Matrix;
-use patient_flow::optim::admm::{solve_group_lasso, solve_group_lasso_warm, AdmmResult};
+use patient_flow::optim::admm::{solve_group_lasso, solve_group_lasso_warm};
 use pfp_bench::CountingObjective;
 
 /// The weakly-determined-regime configuration the sweep/CV drivers use:
@@ -42,21 +42,6 @@ fn chain_config() -> TrainConfig {
         }));
     cfg.max_outer_iters = 300;
     cfg
-}
-
-/// Fused passes until the trace first reached `target`.
-fn passes_to_reach(result: &AdmmResult, target: f64) -> Option<usize> {
-    let mut cumulative = 1usize;
-    if result.objective_trace[0] <= target {
-        return Some(cumulative);
-    }
-    for (outer, evals) in result.evaluations_by_outer.iter().enumerate() {
-        cumulative += evals;
-        if result.objective_trace[outer + 1] <= target {
-            return Some(cumulative);
-        }
-    }
-    None
 }
 
 #[test]
@@ -115,7 +100,8 @@ fn warm_chain_across_folds_uses_strictly_fewer_passes_per_fold() {
                 warm_counting.value_calls() + warm_counting.gradient_calls(),
                 0
             );
-            let reach = passes_to_reach(&warm, cold_final + 1e-6)
+            let (reach, _) = warm
+                .passes_to_reach(cold_final + 1e-6)
                 .unwrap_or_else(|| panic!("fold {}: warm trace never reached cold", i + 1));
             assert!(
                 reach < cold_passes,
@@ -216,7 +202,8 @@ fn warm_step_along_the_gamma_path_reaches_the_cold_objective_cheaper() {
     );
     let warm = solve_group_lasso_warm(&warm_counting, &probe, &at_low_gamma.warm_start)
         .expect("same data, same shape");
-    let reach = passes_to_reach(&warm, cold_final + 1e-6)
+    let (reach, _) = warm
+        .passes_to_reach(cold_final + 1e-6)
         .expect("the warm trace must reach the cold γ-point's objective");
     assert!(
         reach < cold_counting.passes(),
