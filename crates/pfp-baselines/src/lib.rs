@@ -11,30 +11,27 @@
 //! * **CTMC** — continuous-time Markov chain with an estimated rate matrix;
 //!   destination from jump probabilities, duration from expected holding
 //!   times.
-//! * **LR** — multinomial logistic regression on the *current* features only
-//!   (history-independent).
 //! * **HP** — generatively-trained multivariate Hawkes process; prediction by
 //!   integrating the intensity over day-long windows.
-//! * **MPP / SCP** — the modulated-Poisson and self-correcting feature maps
-//!   plugged into the same discriminative softmax learner as DMCP but without
-//!   the group lasso, isolating the contribution of the mutually-correcting
-//!   kernel.
+//! * **LR / MPP / SCP** — the DMCP learner itself with a simpler feature map
+//!   and no group lasso: current features only (history-independent
+//!   multinomial logistic regression), the modulated-Poisson map and the
+//!   self-correcting map.  They isolate the contribution of the
+//!   mutually-correcting kernel and of the joint feature selection.
 //!
 //! DMCP itself (and its W/H/S imbalance variants) lives in `pfp-core`; the
-//! [`predictor`] module provides adapters so it satisfies the same trait.
+//! [`predictor`] module's [`DmcpPredictor`] adapts every DMCP-family method —
+//! LR, MPP and SCP included — to the same trait via
+//! `DmcpPredictor::train(dataset, config, MethodId::X)`.
 
 pub mod ctmc;
 pub mod hawkes_baseline;
-pub mod logistic;
 pub mod markov;
-pub mod pp_discriminative;
 pub mod predictor;
 pub mod var;
 
 pub use ctmc::CtmcPredictor;
 pub use hawkes_baseline::HawkesPredictor;
-pub use logistic::LogisticPredictor;
 pub use markov::{MarkovFallback, MarkovPredictor};
-pub use pp_discriminative::{ModulatedPoissonPredictor, SelfCorrectingPredictor};
 pub use predictor::{DmcpPredictor, FlowPredictor, GenerativePredictor, MethodId, Prediction};
 pub use var::VarPredictor;

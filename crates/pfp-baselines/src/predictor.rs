@@ -286,6 +286,34 @@ mod tests {
     }
 
     #[test]
+    fn simpler_map_variants_train_with_their_feature_maps() {
+        // LR / MPP / SCP / SSCP are the DMCP learner with a fixed feature map
+        // and no group lasso; SSCP adds synthetic-data pre-processing to SCP.
+        let ds = dataset();
+        let cases = [
+            (MethodId::Lr, FeatureMapKind::CurrentOnly),
+            (MethodId::Mpp, FeatureMapKind::ModulatedPoisson),
+            (MethodId::Scp, FeatureMapKind::SelfCorrecting),
+            (MethodId::Sscp, FeatureMapKind::SelfCorrecting),
+        ];
+        let trained: Vec<DmcpPredictor> = cases
+            .iter()
+            .map(|&(method, kind)| {
+                let p = DmcpPredictor::train(&ds, &TrainConfig::fast(), method);
+                assert_eq!(p.method(), method);
+                assert_eq!(p.model().kind, kind, "{method:?} feature map");
+                p
+            })
+            .collect();
+        // Same map as SCP, but fitted on the synthetically rebalanced data.
+        assert_ne!(
+            trained[3].model().theta,
+            trained[2].model().theta,
+            "SSCP must apply the synthetic imbalance strategy"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "not a DMCP-family method")]
     fn sequence_methods_cannot_be_trained_through_the_adapter() {
         let ds = dataset();

@@ -32,7 +32,7 @@ use pfp_bench::{render_table, Args};
 use pfp_core::Dataset;
 use pfp_ehr::departments::{CareUnit, NUM_CARE_UNITS};
 use pfp_ehr::generate_cohort;
-use pfp_eval::census::{census_errors_f64, CENSUS_DAYS};
+use pfp_eval::census::{census_errors_f64, census_f64, CENSUS_DAYS};
 use pfp_eval::scenario::{
     actual_census, evaluate_scenarios, forecast_census, AdmissionModel, CensusForecast,
     ForecastConfig, Perturbation, Scenario, WhatIfReport,
@@ -59,13 +59,6 @@ fn scenarios() -> Vec<Scenario> {
                 factor: 1.25,
             }),
     ]
-}
-
-fn to_f64(census: &[Vec<usize>]) -> Vec<Vec<f64>> {
-    census
-        .iter()
-        .map(|row| row.iter().map(|&v| v as f64).collect())
-        .collect()
 }
 
 /// Render a `[cu][day]` mean-occupancy grid as a table.
@@ -112,7 +105,7 @@ fn main() {
         seed: args.seed,
         ..ForecastConfig::default()
     };
-    let actual = to_f64(&actual_census(&test, CENSUS_DAYS));
+    let actual = census_f64(&actual_census(&test, CENSUS_DAYS));
     let t1 = Instant::now();
     let gate = |p: &dyn GenerativePredictor| -> (CensusForecast, f64) {
         let f = forecast_census(p, &test, &Scenario::baseline(), &gate_config);

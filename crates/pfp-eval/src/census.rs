@@ -1,12 +1,14 @@
 //! Patient-census simulation and the relative simulation error (Section 4.1).
 //!
 //! Given a trained predictor and the held-out patients, the harness replays
-//! each patient from admission: starting with the (observed) first stay, it
-//! repeatedly asks the predictor for the next `(destination, duration)` pair,
-//! appends the predicted stay (with no future service features — they have
-//! not happened yet), and continues until the simulated trajectory covers the
-//! one-week horizon.  The daily occupancy of every care unit is then compared
-//! against the actual trajectories:
+//! each patient from their observed admission on the one rollout loop of
+//! [`scenario`](crate::scenario), with the predictor's *argmax* as the hop
+//! policy: each hop asks for the next `(destination, duration)` pair, appends
+//! the predicted stay (with no future service features — they have not
+//! happened yet), and the loop continues until the simulated trajectory
+//! covers the one-week horizon.  (The what-if forecaster runs the same loop
+//! with a *sampling* hop.)  The daily occupancy of every care unit is then
+//! compared against the actual trajectories:
 //!
 //! ```text
 //! Err_c = (1/7) Σ_{day=1..7} |N_{c,day} − N̂_{c,day}| / max(N_{c,day}, 1)
@@ -21,12 +23,10 @@
 //! distinguishing methods; the deviation is documented in EXPERIMENTS.md.
 
 use pfp_baselines::FlowPredictor;
-use pfp_core::dataset::{Dataset, RawSample};
-use pfp_core::features::HistoryStay;
-use pfp_ehr::departments::NUM_CARE_UNITS;
-use pfp_ehr::PatientRecord;
-use pfp_math::SparseVec;
+use pfp_core::dataset::Dataset;
 use serde::{Deserialize, Serialize};
+
+use crate::scenario::{actual_census, rollout, ResolvedScenario, Scenario};
 
 /// Number of days the census simulation covers (the paper uses one week).
 pub const CENSUS_DAYS: usize = 7;
@@ -114,37 +114,40 @@ pub fn census_errors_f64(actual: &[Vec<f64>], predicted: &[Vec<f64>]) -> (Vec<f6
     (per_cu_error, overall_error)
 }
 
-/// [`census_errors_f64`] over integer occupancy counts.
-pub fn census_errors(actual: &[Vec<usize>], predicted: &[Vec<usize>]) -> (Vec<f64>, f64) {
-    let to_f64 = |m: &[Vec<usize>]| -> Vec<Vec<f64>> {
-        m.iter()
-            .map(|row| row.iter().map(|&v| v as f64).collect())
-            .collect()
-    };
-    census_errors_f64(&to_f64(actual), &to_f64(predicted))
+/// An integer `[cu][day]` occupancy grid as `f64`, the form
+/// [`census_errors_f64`] scores.
+pub fn census_f64(census: &[Vec<usize>]) -> Vec<Vec<f64>> {
+    census
+        .iter()
+        .map(|row| row.iter().map(|&v| v as f64).collect())
+        .collect()
 }
 
-/// Simulate the census of the held-out patients under `predictor` and compare
-/// with their actual trajectories.
+/// Simulate the census of the held-out patients under `predictor`'s argmax
+/// and compare with their actual trajectories.
 pub fn simulate_census(predictor: &dyn FlowPredictor, test: &Dataset) -> CensusResult {
-    let mut actual = vec![vec![0usize; CENSUS_DAYS]; NUM_CARE_UNITS];
-    let mut simulated = vec![vec![0usize; CENSUS_DAYS]; NUM_CARE_UNITS];
-
+    // The baseline closes no unit and scales no dwell, and representative
+    // dwells are ≥ 1 day, so neither the admission reroute nor the
+    // `MIN_DWELL_DAYS` floor can touch an argmax trajectory.
+    let baseline = ResolvedScenario::resolve(&Scenario::baseline(), test.num_cus);
+    let mut simulated = vec![vec![0usize; CENSUS_DAYS]; test.num_cus];
     for patient in &test.patients {
-        // Actual occupancy from the real stays.
-        let real: Vec<(usize, f64, f64)> = patient
-            .stays
-            .iter()
-            .map(|s| (s.cu, s.entry_time, s.dwell_days))
-            .collect();
-        occupancy(&real, &mut actual);
-
-        // Simulated occupancy from the predictor's rollout.
-        let rollout = rollout_patient(predictor, patient, test.num_durations);
-        occupancy(&rollout, &mut simulated);
+        let stays = rollout(
+            patient,
+            patient.stays[0].entry_time,
+            test.num_durations,
+            &baseline,
+            CENSUS_DAYS as f64,
+            |sample| {
+                let prediction = predictor.predict_sample(sample);
+                (prediction.duration, prediction.cu)
+            },
+        );
+        occupancy(&stays, &mut simulated);
     }
-
-    let (per_cu_error, overall_error) = census_errors(&actual, &simulated);
+    let actual = actual_census(test, CENSUS_DAYS);
+    let (per_cu_error, overall_error) =
+        census_errors_f64(&census_f64(&actual), &census_f64(&simulated));
 
     CensusResult {
         actual,
@@ -154,75 +157,13 @@ pub fn simulate_census(predictor: &dyn FlowPredictor, test: &Dataset) -> CensusR
     }
 }
 
-/// Roll a single patient forward for one week under the predictor.
-///
-/// The first stay's unit is observed (admission is known); everything after
-/// that — including how long the first stay lasts — comes from the predictor.
-fn rollout_patient(
-    predictor: &dyn FlowPredictor,
-    patient: &PatientRecord,
-    num_durations: usize,
-) -> Vec<(usize, f64, f64)> {
-    let first = &patient.stays[0];
-    let mut history: Vec<HistoryStay> = vec![HistoryStay {
-        entry_time: first.entry_time,
-        services: first.services.clone(),
-    }];
-    let mut cu_history = vec![first.cu];
-    let mut stays: Vec<(usize, f64, f64)> = Vec::new();
-    let mut entry = first.entry_time;
-    let mut prev_entry = 0.0;
-    let mut prev_duration: Option<usize> = None;
-    let service_dim = first.services.dim();
-
-    // Roll until the trajectory covers the horizon.  Representative dwells
-    // are ≥ 1 day, so a one-week horizon needs at most 8 hops; the cap is a
-    // loud safety valve against a degenerate dwell model, not a silent
-    // truncation point — a capped rollout would quietly drop the patient
-    // from the tail of the census, the same bug class as an unflagged
-    // thinning truncation.
-    const MAX_ROLLOUT_STAYS: usize = 64;
-    let horizon = CENSUS_DAYS as f64;
-    while entry <= horizon {
-        assert!(
-            stays.len() < MAX_ROLLOUT_STAYS,
-            "census rollout for patient {} exceeded {MAX_ROLLOUT_STAYS} stays \
-             before covering the {horizon}-day horizon (degenerate dwell model)",
-            patient.id
-        );
-        let sample = RawSample {
-            patient_id: patient.id,
-            profile: patient.profile.clone(),
-            history: history.clone(),
-            cu_history: cu_history.clone(),
-            prev_duration_class: prev_duration,
-            t_eval: entry + pfp_core::features::EVAL_OFFSET_DAYS,
-            t_prev: prev_entry,
-            cu_label: 0,
-            duration_label: 0,
-        };
-        let prediction = predictor.predict_sample(&sample);
-        let dwell = representative_dwell_days(prediction.duration, num_durations);
-        let current_cu = *cu_history.last().expect("non-empty history");
-        stays.push((current_cu, entry, dwell));
-
-        let next_entry = entry + dwell;
-        prev_entry = entry;
-        prev_duration = Some(prediction.duration);
-        entry = next_entry;
-        cu_history.push(prediction.cu);
-        history.push(HistoryStay {
-            entry_time: next_entry,
-            services: SparseVec::new(service_dim),
-        });
-    }
-    stays
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfp_baselines::{MethodId, Prediction};
+    use crate::scenario::{forecast_census, ForecastConfig};
+    use pfp_baselines::{GenerativePredictor, MethodId, Prediction};
+    use pfp_core::dataset::RawSample;
+    use pfp_ehr::departments::NUM_CARE_UNITS;
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     /// Oracle that predicts the actual next transition of the patient it is
@@ -245,8 +186,76 @@ mod tests {
         }
     }
 
+    /// Deterministic policy whose predictive distributions are the one-hot
+    /// of its argmax, so a sampled rollout must retrace the argmax rollout.
+    struct OneHot {
+        num_cus: usize,
+        num_durations: usize,
+    }
+
+    impl FlowPredictor for OneHot {
+        fn method(&self) -> MethodId {
+            MethodId::Mc
+        }
+        fn predict_sample(&self, sample: &RawSample) -> Prediction {
+            Prediction {
+                cu: (sample.patient_id + sample.cu_history.len()) % self.num_cus,
+                duration: (sample.patient_id + 3 * sample.history.len()) % self.num_durations,
+            }
+        }
+    }
+
+    impl GenerativePredictor for OneHot {
+        fn predict_distribution(&self, sample: &RawSample) -> (Vec<f64>, Vec<f64>) {
+            let one_hot = |k: usize, n: usize| {
+                let mut p = vec![0.0; n];
+                p[k] = 1.0;
+                p
+            };
+            let prediction = self.predict_sample(sample);
+            (
+                one_hot(prediction.cu, self.num_cus),
+                one_hot(prediction.duration, self.num_durations),
+            )
+        }
+    }
+
     fn dataset() -> Dataset {
         Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(131)))
+    }
+
+    #[test]
+    fn argmax_census_equals_a_one_hot_sampled_forecast() {
+        // The argmax and sampling hop policies drive the same rollout loop:
+        // when every distribution is the one-hot of the argmax, one baseline
+        // Monte-Carlo rollout must reproduce the argmax census bit for bit.
+        let ds = dataset();
+        let predictor = OneHot {
+            num_cus: ds.num_cus,
+            num_durations: ds.num_durations,
+        };
+        let result = simulate_census(&predictor, &ds);
+        let config = ForecastConfig {
+            rollouts: 1,
+            ..ForecastConfig::default()
+        };
+        let forecast = forecast_census(&predictor, &ds, &Scenario::baseline(), &config);
+        let row_bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |grid: &[Vec<f64>]| grid.iter().map(|row| row_bits(row)).collect::<Vec<_>>();
+        assert_eq!(bits(&census_f64(&result.simulated)), bits(&forecast.mean));
+        let occupied = result
+            .simulated
+            .iter()
+            .filter(|row| row.iter().any(|&n| n > 0));
+        assert!(occupied.count() > 1, "the policy should spread patients");
+
+        let (per_cu, overall) = census_errors_f64(&census_f64(&result.actual), &forecast.mean);
+        assert_eq!(
+            row_bits(&per_cu),
+            row_bits(&result.per_cu_error),
+            "per-CU Err_c"
+        );
+        assert_eq!(overall.to_bits(), result.overall_error.to_bits());
     }
 
     #[test]
@@ -273,9 +282,9 @@ mod tests {
     fn census_errors_survive_zero_occupancy_units() {
         // A unit that is actually empty all week but simulated occupied: the
         // max(N, 1) guard scores |N̂| per day instead of dividing by zero.
-        let actual = vec![vec![0usize; CENSUS_DAYS], vec![1; CENSUS_DAYS]];
-        let simulated = vec![vec![2usize; CENSUS_DAYS], vec![1; CENSUS_DAYS]];
-        let (per_cu, overall) = census_errors(&actual, &simulated);
+        let actual = vec![vec![0.0; CENSUS_DAYS], vec![1.0; CENSUS_DAYS]];
+        let simulated = vec![vec![2.0; CENSUS_DAYS], vec![1.0; CENSUS_DAYS]];
+        let (per_cu, overall) = census_errors_f64(&actual, &simulated);
         assert_eq!(per_cu[0], 2.0);
         assert_eq!(per_cu[1], 0.0);
         // The empty unit carries zero occupancy weight, so it cannot drag
@@ -288,9 +297,9 @@ mod tests {
     fn census_errors_survive_an_entirely_empty_hospital() {
         // All-zero actual occupancy: the total-weight max(·, 1) guard keeps
         // the overall error defined (and zero) instead of 0/0.
-        let actual = vec![vec![0usize; CENSUS_DAYS]; 2];
-        let simulated = vec![vec![3usize; CENSUS_DAYS]; 2];
-        let (per_cu, overall) = census_errors(&actual, &simulated);
+        let actual = vec![vec![0.0; CENSUS_DAYS]; 2];
+        let simulated = vec![vec![3.0; CENSUS_DAYS]; 2];
+        let (per_cu, overall) = census_errors_f64(&actual, &simulated);
         assert!(per_cu.iter().all(|e| e.is_finite()));
         assert_eq!(overall, 0.0);
     }

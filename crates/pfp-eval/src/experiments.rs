@@ -11,11 +11,10 @@ use pfp_baselines::{
 };
 use pfp_core::joint::JointLabelModel;
 use pfp_core::{fit, Dataset, DmcpObjective, PlateauStop, TrainConfig, WarmStart};
-use pfp_ehr::departments::{paper_table1, paper_table2, NUM_CARE_UNITS};
+use pfp_ehr::departments::{paper_table1, paper_table2};
 use pfp_ehr::features::{FeatureDictionary, FeatureDomain};
 use pfp_ehr::stats::{duration_histogram, table1, table2, DurationHistogram, Table1Row, Table2Row};
 use pfp_ehr::Cohort;
-use pfp_math::Matrix;
 use pfp_point_process::hawkes::HawkesFitConfig;
 use pfp_point_process::{Event, KernelKind, ParametricIntensity};
 use serde::{Deserialize, Serialize};
@@ -431,43 +430,10 @@ pub fn joint_overfit_report(dataset: &Dataset, config: &ComparisonConfig) -> Joi
     }
 }
 
-/// Feature-map ablation summary: accuracy of the DMCP feature map against
-/// the MPP / SCP / LR maps under identical training budgets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AblationReport {
-    /// `(method, AC_C, AC_D)` rows.
-    pub rows: Vec<(MethodId, f64, f64)>,
-}
-
-/// Run the feature-map ablation (LR vs MPP vs SCP vs DMCP).
-pub fn feature_map_ablation(dataset: &Dataset, config: &ComparisonConfig) -> AblationReport {
-    let (train, test) = dataset.split_holdout(config.test_fraction, config.seed);
-    let rows = [MethodId::Lr, MethodId::Mpp, MethodId::Scp, MethodId::Dmcp]
-        .iter()
-        .map(|&m| {
-            let p = DmcpPredictor::train(&train, &config.train, m);
-            let r = evaluate(&p, &test);
-            (m, r.overall_cu, r.overall_duration)
-        })
-        .collect();
-    AblationReport { rows }
-}
-
-/// Convenience: a dense matrix of per-CU accuracies (rows = methods) used by
-/// the figure-style reports.
-pub fn per_cu_accuracy_matrix(results: &[MethodResult]) -> Matrix {
-    let mut m = Matrix::zeros(results.len(), NUM_CARE_UNITS);
-    for (i, r) in results.iter().enumerate() {
-        for (j, &v) in r.accuracy.per_cu.iter().enumerate() {
-            m.set(i, j, v);
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfp_ehr::departments::NUM_CARE_UNITS;
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     fn cohort() -> Cohort {
@@ -518,8 +484,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.accuracy.overall_cu));
             assert!(r.census.overall_error.is_finite());
         }
-        let matrix = per_cu_accuracy_matrix(&results);
-        assert_eq!(matrix.shape(), (3, NUM_CARE_UNITS));
     }
 
     #[test]
@@ -599,13 +563,5 @@ mod tests {
         assert!(r.joint_parameters > r.decoupled_parameters);
         assert!((0.0..=1.0).contains(&r.joint_pair_accuracy));
         assert!((0.0..=1.0).contains(&r.decoupled_pair_accuracy));
-    }
-
-    #[test]
-    fn feature_map_ablation_has_four_rows() {
-        let ds = Dataset::from_cohort(&cohort());
-        let cfg = ComparisonConfig::fast(11);
-        let r = feature_map_ablation(&ds, &cfg);
-        assert_eq!(r.rows.len(), 4);
     }
 }

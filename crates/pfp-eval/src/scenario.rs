@@ -1,14 +1,22 @@
-//! Closed-loop census forecasting and what-if scenario simulation.
+//! Closed-loop census rollouts and what-if scenario simulation.
 //!
-//! [`census`](crate::census) replays each held-out patient under a
-//! predictor's *argmax* — one deterministic trajectory per patient.  This
-//! module instead rolls the trained model forward as a **generative** model:
-//! each hop *samples* `(destination, duration)` from the model's predictive
-//! distribution ([`GenerativePredictor`]), appends the stay, re-featurizes,
-//! and repeats until the trajectory covers the horizon.  Seeded Monte-Carlo
-//! rollouts of the whole hospital then yield per-CU occupancy forecasts with
-//! uncertainty bands — the model's own predictive uncertainty, propagated
-//! through the closed loop (model → sampler → featurizer → census).
+//! This module owns the one per-patient rollout loop in `pfp-eval`: starting
+//! from a patient's observed admission, each hop asks a *hop policy* for the
+//! current stay's duration class and the next care unit, appends the stay,
+//! re-featurizes the grown history, and repeats until the trajectory covers
+//! the horizon.  Two hop policies drive it:
+//!
+//! * **argmax** — the predictor's point prediction
+//!   ([`FlowPredictor::predict_sample`](pfp_baselines::FlowPredictor::predict_sample)),
+//!   one deterministic trajectory per patient: the paper's census
+//!   simulation ([`census::simulate_census`](crate::census::simulate_census),
+//!   Table 6);
+//! * **sampling** — one draw of the duration, then of the destination, from
+//!   the model's predictive distributions ([`GenerativePredictor`]): the
+//!   Monte-Carlo forecaster [`forecast_census`].  Seeded rollouts of the
+//!   whole hospital yield per-CU occupancy forecasts with uncertainty bands
+//!   — the model's own predictive uncertainty, propagated through the closed
+//!   loop (model → sampler → featurizer → census).
 //!
 //! On top of the forecaster sits a declarative what-if engine: a
 //! [`Scenario`] is a list of [`Perturbation`]s —
@@ -35,6 +43,7 @@ use pfp_baselines::GenerativePredictor;
 use pfp_core::dataset::{Dataset, RawSample};
 use pfp_core::features::HistoryStay;
 use pfp_ehr::departments::CareUnit;
+use pfp_ehr::PatientRecord;
 use pfp_math::rng::{derive_seed, sample_categorical, seeded_rng};
 use pfp_math::SparseVec;
 use pfp_point_process::kernels::{KernelKind, ParametricIntensity};
@@ -42,11 +51,15 @@ use pfp_point_process::simulate::{simulate, ThinningConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::census::{census_errors_f64, occupancy, representative_dwell_days, CENSUS_DAYS};
+use crate::census::{
+    census_errors_f64, census_f64, occupancy, representative_dwell_days, CENSUS_DAYS,
+};
 
-/// Hard cap on sampled stays per rollout trajectory.  With dwells clamped at
+/// Hard cap on stays per rollout trajectory.  With dwells clamped at
 /// [`MIN_DWELL_DAYS`] a week-long horizon needs at most `7 / 0.05 = 140`
-/// hops, so the cap only fires on a logic error — and fires loudly.
+/// hops (8 under the argmax census, whose dwells are ≥ 1 day), so the cap
+/// only fires on a logic error — and fires loudly: a capped rollout would
+/// quietly drop the patient from the tail of the census.
 const MAX_ROLLOUT_STAYS: usize = 4096;
 
 /// Floor on a perturbed dwell (days).  Keeps LOS-shift scenarios from
@@ -202,7 +215,7 @@ impl Scenario {
 
 /// Scenario resolved against a concrete hospital: per-CU masks and factors.
 #[derive(Debug, Clone)]
-struct ResolvedScenario {
+pub(crate) struct ResolvedScenario {
     admission_scale: f64,
     closed: Vec<bool>,
     los_factor: Vec<f64>,
@@ -215,7 +228,7 @@ impl ResolvedScenario {
     /// # Panics
     /// Panics on out-of-range unit indices, non-positive scales/factors, or
     /// a scenario that closes every care unit.
-    fn resolve(scenario: &Scenario, num_cus: usize) -> Self {
+    pub(crate) fn resolve(scenario: &Scenario, num_cus: usize) -> Self {
         let mut resolved = Self {
             admission_scale: 1.0,
             closed: vec![false; num_cus],
@@ -358,40 +371,42 @@ impl CensusForecast {
     }
 }
 
-/// Roll one patient forward from admission, sampling every hop.
-#[allow(clippy::too_many_arguments)]
-fn rollout_sampled(
-    predictor: &dyn GenerativePredictor,
-    patient_id: usize,
-    profile: &SparseVec,
-    admit_cu: usize,
-    admit_services: &SparseVec,
+/// Roll one patient forward from an admission at `admit_time` (into their
+/// observed first unit, rerouted if `resolved` closes it) until the
+/// trajectory covers `horizon`.  `hop` is the policy: for each stay it
+/// returns `(duration class, next care unit)`; the stay's dwell is the
+/// class's representative dwell scaled by the unit's LOS factor and floored
+/// at [`MIN_DWELL_DAYS`].  Returns the `(cu, entry, dwell)` stays.
+pub(crate) fn rollout(
+    patient: &PatientRecord,
     admit_time: f64,
     num_durations: usize,
     resolved: &ResolvedScenario,
     horizon: f64,
-    rng: &mut impl Rng,
+    mut hop: impl FnMut(&RawSample) -> (usize, usize),
 ) -> Vec<(usize, f64, f64)> {
+    let first = &patient.stays[0];
     let mut history = vec![HistoryStay {
         entry_time: admit_time,
-        services: admit_services.clone(),
+        services: first.services.clone(),
     }];
-    let mut cu_history = vec![resolved.reroute_admission(admit_cu)];
+    let mut cu_history = vec![resolved.reroute_admission(first.cu)];
     let mut stays: Vec<(usize, f64, f64)> = Vec::new();
     let mut entry = admit_time;
     let mut prev_entry = 0.0;
     let mut prev_duration: Option<usize> = None;
-    let service_dim = admit_services.dim();
+    let service_dim = first.services.dim();
 
     while entry <= horizon {
         assert!(
             stays.len() < MAX_ROLLOUT_STAYS,
-            "sampled rollout for patient {patient_id} exceeded {MAX_ROLLOUT_STAYS} \
-             stays before covering the {horizon}-day horizon"
+            "rollout for patient {} exceeded {MAX_ROLLOUT_STAYS} stays before \
+             covering the {horizon}-day horizon (degenerate dwell model)",
+            patient.id
         );
         let sample = RawSample {
-            patient_id,
-            profile: profile.clone(),
+            patient_id: patient.id,
+            profile: patient.profile.clone(),
             history: history.clone(),
             cu_history: cu_history.clone(),
             prev_duration_class: prev_duration,
@@ -400,15 +415,13 @@ fn rollout_sampled(
             cu_label: 0,
             duration_label: 0,
         };
-        let (cu_probs, dur_probs) = predictor.predict_distribution(&sample);
-        let duration = sample_categorical(rng, &dur_probs);
+        let (duration, next_cu) = hop(&sample);
         let current_cu = *cu_history.last().expect("non-empty history");
         let dwell = (representative_dwell_days(duration, num_durations)
             * resolved.los_factor[current_cu])
             .max(MIN_DWELL_DAYS);
         stays.push((current_cu, entry, dwell));
 
-        let next_cu = resolved.sample_open_destination(rng, &cu_probs);
         let next_entry = entry + dwell;
         prev_entry = entry;
         prev_duration = Some(duration);
@@ -420,6 +433,20 @@ fn rollout_sampled(
         });
     }
     stays
+}
+
+/// The forecaster's hop policy: one `predict_distribution` call, then the
+/// duration is drawn before the destination (masked to the open units).
+fn sampled_hop<'a>(
+    predictor: &'a dyn GenerativePredictor,
+    resolved: &'a ResolvedScenario,
+    rng: &'a mut impl Rng,
+) -> impl FnMut(&RawSample) -> (usize, usize) + 'a {
+    move |sample| {
+        let (cu_probs, dur_probs) = predictor.predict_distribution(sample);
+        let duration = sample_categorical(rng, &dur_probs);
+        (duration, resolved.sample_open_destination(rng, &cu_probs))
+    }
 }
 
 /// The actual census of the held-out patients over `horizon_days`.
@@ -436,7 +463,8 @@ pub fn actual_census(test: &Dataset, horizon_days: usize) -> Vec<Vec<usize>> {
     census
 }
 
-/// Nearest-rank quantile of an unsorted sample (small `n`, exact ties fine).
+/// Quantile `q` of an unsorted sample: the sorted value at index
+/// `round((n − 1)·q)` (small `n`, exact ties fine).
 fn quantile(values: &mut [f64], q: f64) -> f64 {
     values.sort_by(|a, b| a.partial_cmp(b).expect("occupancy counts are finite"));
     let idx = ((values.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
@@ -469,23 +497,18 @@ pub fn forecast_census(
     let horizon = days as f64;
 
     let mut per_rollout: Vec<Vec<Vec<usize>>> = Vec::with_capacity(config.rollouts);
-    for rollout in 0..config.rollouts {
-        let mut rng = seeded_rng(derive_seed(config.seed, rollout as u64));
+    for r in 0..config.rollouts {
+        let mut rng = seeded_rng(derive_seed(config.seed, r as u64));
         let mut counts = vec![vec![0usize; days]; test.num_cus];
 
         for patient in &test.patients {
-            let first = &patient.stays[0];
-            let stays = rollout_sampled(
-                predictor,
-                patient.id,
-                &patient.profile,
-                first.cu,
-                &first.services,
-                first.entry_time,
+            let stays = rollout(
+                patient,
+                patient.stays[0].entry_time,
                 test.num_durations,
                 &resolved,
                 horizon,
-                &mut rng,
+                sampled_hop(predictor, &resolved, &mut rng),
             );
             occupancy(&stays, &mut counts);
         }
@@ -495,18 +518,13 @@ pub fn forecast_census(
                 admissions.simulate_admissions(resolved.admission_scale, horizon, &mut rng);
             for arrival_time in arrivals {
                 let donor = &test.patients[rng.gen_range(0..test.patients.len())];
-                let first = &donor.stays[0];
-                let stays = rollout_sampled(
-                    predictor,
-                    donor.id,
-                    &donor.profile,
-                    first.cu,
-                    &first.services,
+                let stays = rollout(
+                    donor,
                     arrival_time,
                     test.num_durations,
                     &resolved,
                     horizon,
-                    &mut rng,
+                    sampled_hop(predictor, &resolved, &mut rng),
                 );
                 occupancy(&stays, &mut counts);
             }
@@ -570,13 +588,9 @@ pub fn evaluate_scenarios(
     config: &ForecastConfig,
 ) -> WhatIfReport {
     let actual = actual_census(test, config.horizon_days);
-    let actual_f64: Vec<Vec<f64>> = actual
-        .iter()
-        .map(|row| row.iter().map(|&v| v as f64).collect())
-        .collect();
-
     let baseline_forecast = forecast_census(predictor, test, &Scenario::baseline(), config);
-    let (per_cu_error, overall_error) = census_errors_f64(&actual_f64, &baseline_forecast.mean);
+    let (per_cu_error, overall_error) =
+        census_errors_f64(&census_f64(&actual), &baseline_forecast.mean);
     let baseline = ScenarioReport {
         scenario: Scenario::baseline(),
         forecast: baseline_forecast,
@@ -876,12 +890,8 @@ mod tests {
         let report = evaluate_scenarios(&mc, &ds, &scenarios, &cfg);
         assert_eq!(report.scenarios.len(), 2);
         // Baseline errors recompute exactly from the published pieces.
-        let actual_f64: Vec<Vec<f64>> = report
-            .actual
-            .iter()
-            .map(|row| row.iter().map(|&v| v as f64).collect())
-            .collect();
-        let (per_cu, overall) = census_errors_f64(&actual_f64, &report.baseline.forecast.mean);
+        let (per_cu, overall) =
+            census_errors_f64(&census_f64(&report.actual), &report.baseline.forecast.mean);
         assert_eq!(per_cu, report.baseline.per_cu_error);
         assert_eq!(overall, report.baseline.overall_error);
         assert!(overall.is_finite() && overall >= 0.0);
