@@ -26,7 +26,11 @@
 
 pub mod ctmc;
 pub mod hawkes_baseline;
+#[cfg(test)]
+mod logistic;
 pub mod markov;
+#[cfg(test)]
+mod pp_discriminative;
 pub mod predictor;
 pub mod var;
 

@@ -1,32 +1,19 @@
-//! The logistic-regression (LR) baseline: multinomial logistic regression on
-//! the *current* features `[f_0, f_{i}]` only, ignoring the rest of the
-//! history.  Implemented as the DMCP learner with the
+//! Checks of the logistic-regression (LR) baseline: the DMCP learner trained
+//! as `DmcpPredictor::train(_, _, MethodId::Lr)`, i.e. with the
 //! [`FeatureMapKind::CurrentOnly`](pfp_core::FeatureMapKind::CurrentOnly)
-//! feature map and the group lasso disabled.
-
-use pfp_core::{Dataset, TrainConfig};
-
-use crate::predictor::{DmcpPredictor, MethodId};
-
-/// Train the LR baseline.
-pub type LogisticPredictor = DmcpPredictor;
-
-/// Convenience constructor for the LR baseline.
-pub fn train_logistic(dataset: &Dataset, base: &TrainConfig) -> LogisticPredictor {
-    DmcpPredictor::train(dataset, base, MethodId::Lr)
-}
+//! feature map (history-independent) and the group lasso disabled.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::predictor::FlowPredictor;
+    use crate::predictor::{DmcpPredictor, FlowPredictor, MethodId};
     use pfp_core::features::FeatureMapKind;
+    use pfp_core::{Dataset, TrainConfig};
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     #[test]
     fn logistic_baseline_ignores_history() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(101)));
-        let lr = train_logistic(&ds, &TrainConfig::fast());
+        let lr = DmcpPredictor::train(&ds, &TrainConfig::fast(), MethodId::Lr);
         assert_eq!(lr.method(), MethodId::Lr);
         assert_eq!(lr.model().kind, FeatureMapKind::CurrentOnly);
     }

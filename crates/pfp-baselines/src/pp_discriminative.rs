@@ -1,48 +1,20 @@
-//! The modulated-Poisson (MPP) and self-correcting (SCP) discriminative
-//! baselines.
-//!
-//! Both use exactly the same discriminative softmax learner as DMCP but with
-//! the feature maps of Table 3 (`g = 1, h = 1` for MPP; `g = t, h = 1` for
-//! SCP) and without the group lasso — isolating the contribution of the
-//! mutually-correcting kernel and of the joint feature selection.
-
-use pfp_core::{Dataset, TrainConfig};
-
-use crate::predictor::{DmcpPredictor, MethodId};
-
-/// The MPP baseline (alias of the shared adapter).
-pub type ModulatedPoissonPredictor = DmcpPredictor;
-
-/// The SCP baseline (alias of the shared adapter).
-pub type SelfCorrectingPredictor = DmcpPredictor;
-
-/// Train the MPP baseline.
-pub fn train_mpp(dataset: &Dataset, base: &TrainConfig) -> ModulatedPoissonPredictor {
-    DmcpPredictor::train(dataset, base, MethodId::Mpp)
-}
-
-/// Train the SCP baseline.
-pub fn train_scp(dataset: &Dataset, base: &TrainConfig) -> SelfCorrectingPredictor {
-    DmcpPredictor::train(dataset, base, MethodId::Scp)
-}
-
-/// Train the SCP baseline with synthetic-data pre-processing (SSCP).
-pub fn train_sscp(dataset: &Dataset, base: &TrainConfig) -> SelfCorrectingPredictor {
-    DmcpPredictor::train(dataset, base, MethodId::Sscp)
-}
+//! Checks of the modulated-Poisson (MPP) and self-correcting (SCP/SSCP)
+//! discriminative baselines: the DMCP learner trained as
+//! `DmcpPredictor::train(_, _, MethodId::X)` with the feature maps of Table 3
+//! (`g = 1, h = 1` for MPP; `g = t, h = 1` for SCP) and no group lasso.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::predictor::FlowPredictor;
+    use crate::predictor::{DmcpPredictor, FlowPredictor, MethodId};
     use pfp_core::features::FeatureMapKind;
+    use pfp_core::{Dataset, TrainConfig};
     use pfp_ehr::{generate_cohort, CohortConfig};
 
     #[test]
     fn mpp_and_scp_use_their_feature_maps() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(111)));
-        let mpp = train_mpp(&ds, &TrainConfig::fast());
-        let scp = train_scp(&ds, &TrainConfig::fast());
+        let mpp = DmcpPredictor::train(&ds, &TrainConfig::fast(), MethodId::Mpp);
+        let scp = DmcpPredictor::train(&ds, &TrainConfig::fast(), MethodId::Scp);
         assert_eq!(mpp.model().kind, FeatureMapKind::ModulatedPoisson);
         assert_eq!(scp.model().kind, FeatureMapKind::SelfCorrecting);
         assert_eq!(mpp.method(), MethodId::Mpp);
@@ -52,7 +24,7 @@ mod tests {
     #[test]
     fn sscp_combines_scp_with_synthetic_preprocessing() {
         let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(112)));
-        let sscp = train_sscp(&ds, &TrainConfig::fast());
+        let sscp = DmcpPredictor::train(&ds, &TrainConfig::fast(), MethodId::Sscp);
         assert_eq!(sscp.method(), MethodId::Sscp);
         assert_eq!(sscp.model().kind, FeatureMapKind::SelfCorrecting);
     }
