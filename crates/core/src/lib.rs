@@ -24,8 +24,8 @@
 //! * [`dataset`] — feature/label pairs extracted from patient records.
 //! * [`loss`] — the cross-entropy loss of Eq. 6 and its gradient, evaluated
 //!   by one engine ([`loss::DmcpEngine`]) over a sample source: retained CSR
-//!   blocks ([`loss::DmcpObjective`]) or a cohort regenerated per pass
-//!   ([`StreamingDmcpObjective`]).  Every evaluation is one fused batched
+//!   blocks ([`loss::DmcpObjective`]) or blocks spilled once to a scratch
+//!   file and read back per pass ([`StreamingDmcpObjective`]).  Every evaluation is one fused batched
 //!   fold, optionally over a persistent worker pool
 //!   ([`loss::DmcpEngine::with_threads`]), bitwise-deterministic for a fixed
 //!   thread count.
@@ -41,8 +41,8 @@
 //!   over-fitting straw man.
 //! * [`stream`] — the bounded-memory sample sources: featurized shard blocks
 //!   streamed from the cohort generator ([`ShardedSamples`]) and true
-//!   out-of-core regeneration ([`StreamingDmcpObjective`]); both reproduce
-//!   the materialized path bitwise.
+//!   out-of-core blocks spilled to disk ([`StreamingDmcpObjective`]); both
+//!   reproduce the materialized path bitwise.
 
 pub mod dataset;
 pub mod features;

@@ -27,8 +27,9 @@
 //!   the engine over them: a materialized cohort is packed as **one** block
 //!   ([`DmcpObjective::new`]); a [`ShardedSamples`]
 //!   set is borrowed block by block ([`DmcpObjective::from_shards`]).
-//! * [`Regenerated`](crate::stream::Regenerated) — no sample data at all:
-//!   every pass regenerates and re-featurizes the cohort shard by shard
+//! * [`Spilled`](crate::stream::Spilled) — CSR shard blocks featurized once
+//!   and kept on disk: every pass reads them back block by block from a
+//!   scratch file
 //!   ([`StreamingDmcpObjective`](crate::stream::StreamingDmcpObjective)).
 //!
 //! # Fused, batched evaluation

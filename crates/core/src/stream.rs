@@ -15,12 +15,13 @@
 //!   shard).  [`DmcpObjective::from_shards`](crate::loss::DmcpObjective::from_shards)
 //!   folds the engine over the retained blocks; nothing else of the cohort is
 //!   kept.
-//! * [`Regenerated`] / [`StreamingDmcpObjective`] — true out-of-core: retains
-//!   **no** sample data at all, only an 8-byte-per-patient sample-offset
-//!   index.  Every pass regenerates and re-featurizes patients shard by shard
-//!   into one reused scratch [`SampleShard`] per thread, so peak memory is
-//!   O(shard), independent of the cohort size, at the cost of regenerating
-//!   the cohort per pass.
+//! * [`Spilled`] / [`StreamingDmcpObjective`] — true out-of-core: the same
+//!   per-shard blocks, featurized **once** and appended to a scratch file
+//!   under [`std::env::temp_dir`]; memory keeps only a block index.  Every
+//!   pass reads the blocks back through a fixed buffer into one reused
+//!   scratch [`SampleShard`] per thread, validating them as it goes, so peak
+//!   memory is O(shard), independent of the cohort size, at the cost of one
+//!   sequential file read per pass.
 //!
 //! Both reproduce the materialized objective **bitwise at a fixed thread
 //! count**, for any shard size: the engine's chunks never depend on where the
@@ -28,12 +29,16 @@
 //! property-tested in `tests/shard_equivalence.rs`).  Training over either
 //! source goes through the one [`fit`].
 
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pfp_ehr::departments::{NUM_CARE_UNITS, NUM_DURATION_CLASSES};
 use pfp_ehr::{CohortConfig, CohortShards, PatientRecord};
 use pfp_math::parallel::intersect_ranges;
-use pfp_math::SparseVec;
+use pfp_math::{CsrMatrix, SparseVec};
 
 use crate::dataset::Sample;
 use crate::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay, EVAL_OFFSET_DAYS};
@@ -156,17 +161,11 @@ impl ShardedSamples {
     ) -> Self {
         let featurizer = cohort_featurizer(config, kind, shard_size);
         let mut shards = Vec::new();
-        let mut total_samples = 0usize;
-        for patient_shard in CohortShards::new(config, shard_size) {
-            let mut shard = SampleShard::empty(total_samples, featurizer.total_dim());
-            for patient in &patient_shard.patients {
-                for_each_patient_sample(patient, &featurizer, |features, cu, dur| {
-                    shard.push(&features, cu, dur);
-                });
-            }
-            total_samples += shard.len();
-            shards.push(shard);
-        }
+        for_each_featurized_shard(config, &featurizer, shard_size, |shard| {
+            let next = SampleShard::empty(shard.range().end, featurizer.total_dim());
+            shards.push(std::mem::replace(shard, next));
+        });
+        let total_samples = shards.last().map_or(0, |s| s.range().end);
         Self {
             shards,
             featurizer,
@@ -272,29 +271,261 @@ fn cohort_featurizer(
     )
 }
 
-/// The out-of-core sample source: regenerates and re-featurizes the cohort
-/// from its seed on **every** pass, `shard_size` patients per block,
-/// retaining only an 8-byte-per-patient sample-offset index between passes.
-///
-/// Peak memory is O(shard_size) — one scratch block per worker thread,
-/// reused across blocks — regardless of the cohort size.  The price is one
-/// cohort generation + featurization per pass; this is the memory-bound end
-/// of the trade-off, [`ShardedSamples`] (retained blocks) the speed-bound
-/// end.  Block boundaries fall at patient granularity, which the engine's
-/// determinism contract makes unobservable.
-pub struct Regenerated {
-    config: CohortConfig,
-    featurizer: HistoryFeaturizer,
+/// Stream the cohort of `config` through `featurizer`, `shard_size` patients
+/// at a time, handing each patient shard's samples to `visit` as one block
+/// (empty when the shard has no transitions).  The block is reset after each
+/// visit, so its buffers are reused unless `visit` takes them.
+fn for_each_featurized_shard(
+    config: &CohortConfig,
+    featurizer: &HistoryFeaturizer,
     shard_size: usize,
-    /// `sample_offsets[p]` = number of samples contributed by patients
-    /// `0..p`; length `num_patients + 1`.  The only retained per-patient
-    /// state.
-    sample_offsets: Vec<usize>,
+    mut visit: impl FnMut(&mut SampleShard),
+) {
+    let mut shard = SampleShard::empty(0, featurizer.total_dim());
+    for patient_shard in CohortShards::new(config, shard_size) {
+        for patient in &patient_shard.patients {
+            for_each_patient_sample(patient, featurizer, |features, cu, dur| {
+                shard.push(&features, cu, dur);
+            });
+        }
+        visit(&mut shard);
+        shard.reset(shard.range().end);
+    }
 }
 
-impl SampleSource for Regenerated {
+/// Size of the fixed buffer a spill file is written and read through.
+const SPILL_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Names spill files uniquely within the process (the pid separates
+/// processes).
+static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// One non-empty block of a spill file: global samples `start..start + rows`
+/// with `nnz` stored nonzeros, written `offset` bytes into the file.
+#[derive(Debug, Clone, Copy)]
+struct SpillBlock {
+    start: usize,
+    rows: usize,
+    nnz: usize,
+    offset: u64,
+}
+
+impl SpillBlock {
+    /// The block's size on disk: `indptr` (`rows + 1` × u64), the column
+    /// indices (`nnz` × u32), the values (`nnz` × f64), then the destination
+    /// and duration labels (`rows` × u32 each), all little-endian.
+    fn bytes(&self) -> u64 {
+        (8 * (self.rows + 1) + 12 * self.nnz + 8 * self.rows) as u64
+    }
+
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.rows
+    }
+}
+
+/// The out-of-core sample source: the cohort's featurized shard blocks,
+/// written once to a scratch file under [`std::env::temp_dir`] and read back
+/// block by block on every pass.
+///
+/// In memory it keeps only a block index of `(start, rows, nnz, byte
+/// offset)`; a pass streams the blocks it needs through a fixed 64 KiB
+/// buffer into one scratch [`SampleShard`] per worker thread, so peak
+/// memory is O(shard) regardless of the cohort size.
+/// Every read re-validates the file (exact byte count, monotone `indptr`
+/// ending at `nnz`, indices `< M`, finite values, labels `< C` and `< D`)
+/// and panics, naming the file, on any mismatch.  Dropping the source
+/// deletes the file.
+pub struct Spilled {
+    path: PathBuf,
+    featurizer: HistoryFeaturizer,
+    blocks: Vec<SpillBlock>,
+    /// The file's exact length in bytes.
+    bytes: u64,
+}
+
+impl Spilled {
+    /// Featurize the cohort of `config` once, `shard_size` patients per
+    /// block, appending every non-empty block to a new spill file.
+    fn create(config: &CohortConfig, featurizer: HistoryFeaturizer, shard_size: usize) -> Self {
+        let (path, file) = loop {
+            let path = std::env::temp_dir().join(format!(
+                "pfp-spill-{}-{}.bin",
+                std::process::id(),
+                SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
+            ));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(file) => break (path, file),
+                // A stale file from an earlier process with the same pid.
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+                Err(e) => panic!("cannot create spill file {}: {e}", path.display()),
+            }
+        };
+        // The source owns the file from here on, so a failed write still
+        // deletes it.
+        let mut spilled = Spilled {
+            path,
+            featurizer,
+            blocks: Vec::new(),
+            bytes: 0,
+        };
+        let mut out = BufWriter::with_capacity(SPILL_BUFFER_BYTES, file);
+        for_each_featurized_shard(config, &featurizer, shard_size, |shard| {
+            if shard.is_empty() {
+                return;
+            }
+            let block = SpillBlock {
+                start: shard.start,
+                rows: shard.len(),
+                nnz: shard.csr.nnz(),
+                offset: spilled.bytes,
+            };
+            write_block(&mut out, shard).unwrap_or_else(|e| spilled.fail(e));
+            spilled.bytes += block.bytes();
+            spilled.blocks.push(block);
+        });
+        out.into_inner()
+            .map_err(|e| e.into_error())
+            .unwrap_or_else(|e| spilled.fail(e));
+        spilled
+    }
+
+    fn fail(&self, reason: impl std::fmt::Display) -> ! {
+        panic!("spill file {}: {reason}", self.path.display())
+    }
+
+    /// Open the file positioned at `offset`, after checking its length.
+    fn open_at(&self, offset: u64) -> SpillReader<'_> {
+        let mut file = File::open(&self.path).unwrap_or_else(|e| self.fail(e));
+        let len = file.metadata().unwrap_or_else(|e| self.fail(e)).len();
+        if len != self.bytes {
+            self.fail(format!("is {len} bytes, expected {}", self.bytes));
+        }
+        file.seek(SeekFrom::Start(offset))
+            .unwrap_or_else(|e| self.fail(e));
+        SpillReader {
+            source: self,
+            file,
+            buf: vec![0; SPILL_BUFFER_BYTES],
+            pos: 0,
+            end: 0,
+        }
+    }
+}
+
+impl Drop for Spilled {
+    fn drop(&mut self) {
+        // Nothing useful can be done if the file is already gone.
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Append one block in the [`SpillBlock::bytes`] layout.
+fn write_block(out: &mut impl Write, shard: &SampleShard) -> io::Result<()> {
+    let (indptr, indices, values) = shard.csr.as_parts();
+    for &p in indptr {
+        out.write_all(&(p as u64).to_le_bytes())?;
+    }
+    for &i in indices {
+        out.write_all(&i.to_le_bytes())?;
+    }
+    for &v in values {
+        out.write_all(&v.to_le_bytes())?;
+    }
+    for &label in shard.cu_labels.iter().chain(&shard.duration_labels) {
+        out.write_all(&label.to_le_bytes())?;
+    }
+    Ok(())
+}
+
+/// A sequential little-endian decoder over one open spill file, reading
+/// through a fixed buffer (`buf[pos..end]` is read but not yet decoded).
+struct SpillReader<'a> {
+    source: &'a Spilled,
+    file: File,
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+}
+
+impl SpillReader<'_> {
+    /// Decode the next `n` `W`-byte values onto `out`.
+    fn read<const W: usize, T>(&mut self, n: usize, out: &mut Vec<T>, decode: fn([u8; W]) -> T) {
+        let mut left = n;
+        while left > 0 {
+            if self.end - self.pos < W {
+                self.refill(W);
+            }
+            let take = ((self.end - self.pos) / W).min(left);
+            let bytes = &self.buf[self.pos..self.pos + take * W];
+            out.extend(
+                bytes
+                    .chunks_exact(W)
+                    .map(|c| decode(c.try_into().expect("W-byte chunk"))),
+            );
+            self.pos += take * W;
+            left -= take;
+        }
+    }
+
+    /// Move the undecoded tail to the front and read until at least `need`
+    /// bytes are buffered.
+    fn refill(&mut self, need: usize) {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < need {
+            match self.file.read(&mut self.buf[self.end..]) {
+                Ok(0) => self.source.fail("ends before its last block"),
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => self.source.fail(e),
+            }
+        }
+    }
+
+    /// Decode `block` into `shard`, reusing its buffers, and validate it.
+    fn read_block(&mut self, block: &SpillBlock, shard: &mut SampleShard) {
+        let (mut indptr, mut indices, mut values) = std::mem::take(&mut shard.csr).into_parts();
+        indptr.clear();
+        indices.clear();
+        values.clear();
+        shard.cu_labels.clear();
+        shard.duration_labels.clear();
+        self.read(block.rows + 1, &mut indptr, |b| {
+            usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX)
+        });
+        self.read(block.nnz, &mut indices, u32::from_le_bytes);
+        self.read(block.nnz, &mut values, f64::from_le_bytes);
+        self.read(block.rows, &mut shard.cu_labels, u32::from_le_bytes);
+        self.read(block.rows, &mut shard.duration_labels, u32::from_le_bytes);
+        let fail = |what: String| {
+            self.source
+                .fail(format!("block at sample {}: {what}", block.start))
+        };
+        if let Some(k) = values.iter().position(|v| !v.is_finite()) {
+            fail(format!("non-finite value {} at nonzero {k}", values[k]));
+        }
+        for (name, labels, classes) in [
+            ("destination", &shard.cu_labels, NUM_CARE_UNITS),
+            ("duration", &shard.duration_labels, NUM_DURATION_CLASSES),
+        ] {
+            if let Some(r) = labels.iter().position(|&l| l as usize >= classes) {
+                fail(format!(
+                    "{name} label {} at row {r} is not < {classes}",
+                    labels[r]
+                ));
+            }
+        }
+        let m = self.source.featurizer.total_dim();
+        shard.csr = CsrMatrix::from_parts(m, indptr, indices, values)
+            .unwrap_or_else(|e| fail(e.to_string()));
+        shard.start = block.start;
+    }
+}
+
+impl SampleSource for Spilled {
     fn total_samples(&self) -> usize {
-        *self.sample_offsets.last().expect("non-empty offsets")
+        self.blocks.last().map_or(0, |b| b.range().end)
     }
 
     fn for_each_block(
@@ -302,76 +533,56 @@ impl SampleSource for Regenerated {
         range: Range<usize>,
         mut visit: impl FnMut(&SampleShard, Range<usize>),
     ) {
-        let mut block = SampleShard::empty(range.start, self.featurizer.total_dim());
-        // First patient whose sample range ends after `range` starts.
-        let first = self.sample_offsets[1..].partition_point(|&end| end <= range.start);
-        let mut patients_in_block = 0usize;
-        for p in first..self.config.num_patients {
-            let p_range = self.sample_offsets[p]..self.sample_offsets[p + 1];
-            if p_range.start >= range.end {
-                break;
-            }
-            let overlap = intersect_ranges(&range, &p_range);
-            if overlap.is_empty() {
-                continue;
-            }
-            let (record, _) = pfp_ehr::generate_patient_record(&self.config, p);
-            let mut s_idx = p_range.start;
-            for_each_patient_sample(&record, &self.featurizer, |features, cu, dur| {
-                if overlap.contains(&s_idx) {
-                    block.push(&features, cu, dur);
-                }
-                s_idx += 1;
-            });
-            patients_in_block += 1;
-            if patients_in_block >= self.shard_size {
-                visit(&block, 0..block.len());
-                block.reset(block.range().end);
-                patients_in_block = 0;
-            }
+        if range.is_empty() {
+            return;
         }
-        if !block.is_empty() {
-            visit(&block, 0..block.len());
+        let first = self
+            .blocks
+            .partition_point(|b| b.range().end <= range.start);
+        let blocks = &self.blocks[first..];
+        let Some(head) = blocks.first().filter(|b| b.start < range.end) else {
+            return;
+        };
+        let mut reader = self.open_at(head.offset);
+        let mut shard = SampleShard::empty(head.start, self.featurizer.total_dim());
+        for block in blocks.iter().take_while(|b| b.start < range.end) {
+            reader.read_block(block, &mut shard);
+            let overlap = intersect_ranges(&range, &block.range());
+            visit(
+                &shard,
+                overlap.start - block.start..overlap.end - block.start,
+            );
         }
     }
 }
 
-/// The engine over a regenerated cohort: true out-of-core training.
+/// The engine over a spilled cohort: true out-of-core training.
 ///
-/// Per-sample weights are not supported (they would require a per-pass
-/// streaming re-count); train with [`ImbalanceStrategy::None`].
-pub type StreamingDmcpObjective = DmcpEngine<'static, Regenerated>;
+/// Per-sample weights are not supported (they would require a streaming
+/// re-count over the labels); train with [`ImbalanceStrategy::None`].
+pub type StreamingDmcpObjective = DmcpEngine<'static, Spilled>;
 
 impl StreamingDmcpObjective {
-    /// Build the objective for the cohort of `config`, streaming two
-    /// pre-passes (σ, then the sample-offset index) with at most
-    /// `shard_size` patients in memory at a time.
+    /// Build the objective for the cohort of `config`: a streaming σ
+    /// pre-pass, then one sweep that featurizes `shard_size` patients at a
+    /// time and spills each block to a scratch file under
+    /// [`std::env::temp_dir`].  At most one patient shard and one sample
+    /// block are in memory at a time.
     ///
     /// `kind` overrides the feature map; `None` selects the paper default.
     ///
     /// # Panics
     /// Panics if the cohort yields zero transition samples or
-    /// `shard_size == 0`.
+    /// `shard_size == 0`; if the spill file cannot be created or written;
+    /// and, on any later evaluation, if it cannot be read or no longer holds
+    /// exactly what was written (wrong length, broken CSR layout, non-finite
+    /// value, label out of range).  Every I/O or corruption panic names the
+    /// file.
     pub fn new(config: &CohortConfig, kind: Option<FeatureMapKind>, shard_size: usize) -> Self {
         assert!(shard_size > 0, "shard_size must be positive");
         let featurizer = cohort_featurizer(config, kind, shard_size);
-        let mut sample_offsets = Vec::with_capacity(config.num_patients + 1);
-        sample_offsets.push(0);
-        let mut total = 0usize;
-        for shard in CohortShards::new(config, shard_size) {
-            for p in &shard.patients {
-                total += p.num_transitions();
-                sample_offsets.push(total);
-            }
-        }
-        let source = Regenerated {
-            config: config.clone(),
-            featurizer,
-            shard_size,
-            sample_offsets,
-        };
         DmcpEngine::build(
-            source,
+            Spilled::create(config, featurizer, shard_size),
             None,
             featurizer.total_dim(),
             NUM_CARE_UNITS,
@@ -379,8 +590,8 @@ impl StreamingDmcpObjective {
         )
     }
 
-    /// The featurizer every pass re-runs (kind and block layout) — the one
-    /// to [`fit`] this objective with.
+    /// The featurizer the spilled samples were built with (kind and block
+    /// layout) — the one to [`fit`] this objective with.
     pub fn featurizer(&self) -> HistoryFeaturizer {
         self.source().featurizer
     }
@@ -392,7 +603,8 @@ impl StreamingDmcpObjective {
 }
 
 /// Train a [`DmcpModel`] fully out-of-core: the cohort of `cohort_config`
-/// never exists in memory, only `shard_size`-patient windows of it.
+/// never exists in memory, only `shard_size`-patient windows of it and its
+/// spilled sample blocks.
 ///
 /// Reproduces `train(&Dataset::from_cohort(&generate_cohort(cohort_config)),
 /// config)` bitwise at a fixed thread count.
@@ -401,8 +613,9 @@ impl StreamingDmcpObjective {
 /// Panics if `config.imbalance` is not [`ImbalanceStrategy::None`] (weighted
 /// and synthetic strategies need materialized samples or retained labels —
 /// fit [`DmcpObjective::from_shards`](crate::loss::DmcpObjective::from_shards)
-/// for weighted) or the cohort has no
-/// transitions.
+/// for weighted), the cohort has no transitions, or the spill file fails
+/// (I/O error or corruption, see [`StreamingDmcpObjective::new`]); the file
+/// is deleted as the panic unwinds.
 pub fn train_streamed(
     cohort_config: &CohortConfig,
     config: &TrainConfig,
@@ -545,6 +758,117 @@ mod tests {
                 "shard={shard_size}"
             );
         }
+    }
+
+    /// `value_and_gradient` of `objective` at a fixed Θ, as bits.
+    fn evaluate_bits(objective: &impl SmoothObjective) -> (u64, Matrix) {
+        let (rows, cols) = objective.shape();
+        let theta = Matrix::from_fn(rows, cols, |r, c| {
+            0.01 * ((r % 5) as f64) - 0.003 * c as f64
+        });
+        let mut grad = Matrix::zeros(rows, cols);
+        let value = objective.value_and_gradient(&theta, &mut grad);
+        (value.to_bits(), grad)
+    }
+
+    #[test]
+    fn spill_file_lives_exactly_as_long_as_the_objective() {
+        let obj = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 16);
+        let path = obj.source().path.clone();
+        assert!(path.starts_with(std::env::temp_dir()));
+        assert!(path.is_file(), "{} missing while alive", path.display());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), obj.source().bytes);
+        drop(obj);
+        assert!(!path.exists(), "{} left behind after drop", path.display());
+    }
+
+    #[test]
+    fn spill_file_is_deleted_when_a_panic_unwinds_through_fit() {
+        let mut path = None;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let obj = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 16);
+            path = Some(obj.source().path.clone());
+            std::fs::File::options()
+                .write(true)
+                .open(&obj.source().path)
+                .unwrap()
+                .set_len(8)
+                .unwrap();
+            fit(&obj, obj.featurizer(), &TrainConfig::fast(), None)
+        }));
+        assert!(result.is_err(), "fit on a truncated spill file must panic");
+        let path = path.expect("objective was built");
+        assert!(
+            !path.exists(),
+            "{} left behind by the unwind",
+            path.display()
+        );
+    }
+
+    #[test]
+    fn concurrent_objectives_use_distinct_files_and_match_materialized_bitwise() {
+        let (ds, samples) = fixture();
+        let reference = DmcpObjective::new(
+            &samples,
+            None,
+            ds.total_feature_dim(),
+            ds.num_cus,
+            ds.num_durations,
+        );
+        let a = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 8);
+        let b = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 8).with_threads(2);
+        assert_ne!(a.source().path, b.source().path);
+        let expected = evaluate_bits(&reference);
+        assert_eq!(evaluate_bits(&a), expected);
+        assert_eq!(evaluate_bits(&b), evaluate_bits(&reference.with_threads(2)));
+        // Interleaved passes leave both files intact.
+        assert_eq!(evaluate_bits(&a), expected);
+    }
+
+    /// Run `f` (which must panic), check that its message names `path`,
+    /// then re-raise the message so `#[should_panic]` can match the reason.
+    fn repanic_naming(path: &std::path::Path, f: impl FnOnce()) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("reading a corrupt spill file must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains(&path.display().to_string()),
+            "panic message does not name the file: {message}"
+        );
+        panic!("{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes, expected")]
+    fn truncated_spill_file_panics_naming_the_path() {
+        let obj = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 16);
+        let path = obj.source().path.clone();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_len(obj.source().bytes - 1).unwrap();
+        repanic_naming(&path, || {
+            evaluate_bits(&obj);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "destination label 4294967295 at row 0 is not <")]
+    fn out_of_range_spilled_label_panics_naming_the_path() {
+        use std::io::{Seek, SeekFrom, Write};
+        let obj = StreamingDmcpObjective::new(&CohortConfig::tiny(17), None, 16);
+        let path = obj.source().path.clone();
+        let block = obj.source().blocks[0];
+        // The first destination label follows indptr, indices and values.
+        let label_offset = block.offset + (8 * (block.rows + 1) + 12 * block.nnz) as u64;
+        let mut file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.seek(SeekFrom::Start(label_offset)).unwrap();
+        file.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        drop(file);
+        repanic_naming(&path, || {
+            evaluate_bits(&obj);
+        });
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //!
 //! Phases (each with its own allocator-peak window):
 //!
-//! * `streaming` — [`train_streamed`]: the cohort is regenerated from its
-//!   seed shard-by-shard on every objective evaluation; retained state is an
-//!   8-byte-per-patient offset index plus the solver matrices.
+//! * `streaming` — [`train_streamed`]: the cohort is featurized once,
+//!   shard-by-shard, into CSR blocks spilled to a scratch file, and every
+//!   objective evaluation reads them back one block at a time; retained
+//!   state is a per-block index plus the solver matrices.
 //! * `sharded`   — [`ShardedSamples::stream_cohort`] + [`fit`] over
 //!   [`DmcpObjective::from_shards`]:
-//!   CSR shard blocks are built streamingly and retained, so evaluations
-//!   don't regenerate, but no patient or sample vector is ever materialized.
+//!   CSR shard blocks are built streamingly and retained in memory, so
+//!   evaluations read no file, but no patient or sample vector is ever
+//!   materialized.
 //! * `materialized` (skippable with `--no-baseline`) — the classic
 //!   `generate_cohort` → `Dataset` → `train` pipeline, as the memory
 //!   baseline the other two must undercut.
@@ -129,8 +131,8 @@ impl ScaleArgs {
         if !self.full {
             // CI-smoke budget: the gate is the memory profile and the
             // bitwise three-way agreement, not convergence.  The streaming
-            // phase regenerates the cohort once per objective evaluation, so
-            // the evaluation count is the knob that keeps smoke runs fast.
+            // phase reads the spilled cohort once per objective evaluation,
+            // so the evaluation count is the knob that keeps smoke runs fast.
             config.max_outer_iters = 2;
             config.max_inner_iters = 4;
         }
@@ -192,7 +194,7 @@ fn main() {
     }));
     let total_samples = {
         // Cheap recount from the streamed model's already-verified setup:
-        // regenerate the offset index once for reporting.
+        // one generator sweep over the shards, for reporting.
         let p = &phases[0];
         println!(
             "  streaming    : {:>8.1} MiB peak, {:>7.2} s",

@@ -45,6 +45,64 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
+/// Why [`CsrMatrix::from_parts`] rejected its arrays.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CsrError {
+    /// `indptr` is empty, does not start at 0 (`row == 0`), or decreases
+    /// into offset `row`.
+    Indptr {
+        /// The first offending `indptr` position.
+        row: usize,
+    },
+    /// `indptr` does not end at the nonzero count, or the index and value
+    /// arrays differ in length.
+    Nnz {
+        /// The last `indptr` offset.
+        indptr_end: usize,
+        /// Length of the index array.
+        indices: usize,
+        /// Length of the value array.
+        values: usize,
+    },
+    /// A column index is `≥ dim`.
+    IndexOutOfRange {
+        /// Position of the index in the index array.
+        position: usize,
+        /// The offending index.
+        index: u32,
+        /// The matrix's column count.
+        dim: usize,
+    },
+}
+
+impl std::fmt::Display for CsrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CsrError::Indptr { row } => {
+                write!(f, "indptr is not monotone from 0 at offset {row}")
+            }
+            CsrError::Nnz {
+                indptr_end,
+                indices,
+                values,
+            } => write!(
+                f,
+                "indptr ends at {indptr_end} but there are {indices} indices and {values} values"
+            ),
+            CsrError::IndexOutOfRange {
+                position,
+                index,
+                dim,
+            } => write!(
+                f,
+                "column index {index} at nonzero {position} is not < {dim}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CsrError {}
+
 impl Default for CsrMatrix {
     /// An empty 0-row, 0-column matrix.  (A derived `Default` would leave
     /// `indptr` empty, making `rows()` underflow on a defaulted value.)
@@ -122,6 +180,62 @@ impl CsrMatrix {
             indices,
             values,
         }
+    }
+
+    /// Rebuild a matrix from its three arrays — the inverse of
+    /// [`into_parts`](Self::into_parts) — checking every structural
+    /// invariant the kernels index by, so arrays read back from outside the
+    /// process cannot make a kernel read out of bounds.
+    ///
+    /// # Errors
+    /// [`CsrError`] if `indptr` is empty, does not start at 0, decreases, or
+    /// does not end at the nonzero count; if `indices` and `values` differ in
+    /// length; or if an index is `≥ dim`.
+    pub fn from_parts(
+        dim: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Result<Self, CsrError> {
+        if indptr.first() != Some(&0) {
+            return Err(CsrError::Indptr { row: 0 });
+        }
+        if let Some(row) = indptr.windows(2).position(|w| w[1] < w[0]) {
+            return Err(CsrError::Indptr { row: row + 1 });
+        }
+        let end = *indptr.last().expect("checked non-empty");
+        if end != indices.len() || indices.len() != values.len() {
+            return Err(CsrError::Nnz {
+                indptr_end: end,
+                indices: indices.len(),
+                values: values.len(),
+            });
+        }
+        if let Some(position) = indices.iter().position(|&i| i as usize >= dim) {
+            return Err(CsrError::IndexOutOfRange {
+                position,
+                index: indices[position],
+                dim,
+            });
+        }
+        Ok(Self {
+            dim,
+            indptr,
+            indices,
+            values,
+        })
+    }
+
+    /// The three arrays: `indptr` (`rows + 1` offsets from 0), then the
+    /// column indices and values of every row, concatenated.
+    pub fn as_parts(&self) -> (&[usize], &[u32], &[f64]) {
+        (&self.indptr, &self.indices, &self.values)
+    }
+
+    /// Move the three arrays out, so a buffer can be refilled in place and
+    /// re-checked with [`from_parts`](Self::from_parts).
+    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+        (self.indptr, self.indices, self.values)
     }
 
     /// Number of rows (samples).
@@ -455,5 +569,54 @@ mod tests {
         let mut grad = Matrix::zeros(5, 2);
         csr.scatter_gradient_range(&[], 1..1, &mut grad);
         assert_eq!(grad, Matrix::zeros(5, 2));
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_rejects_broken_arrays() {
+        let rows = sample_rows();
+        let packed = CsrMatrix::from_rows(5, rows.iter());
+        let (indptr, indices, values) = packed.clone().into_parts();
+        assert_eq!(packed.as_parts(), (&indptr[..], &indices[..], &values[..]));
+        let rebuilt = CsrMatrix::from_parts(5, indptr.clone(), indices.clone(), values.clone());
+        assert_eq!(rebuilt.as_ref(), Ok(&packed));
+
+        let err = |indptr: Vec<usize>, indices: Vec<u32>, values: Vec<f64>| {
+            CsrMatrix::from_parts(5, indptr, indices, values).unwrap_err()
+        };
+        assert_eq!(err(vec![], vec![], vec![]), CsrError::Indptr { row: 0 });
+        assert_eq!(
+            err(vec![1, 1], vec![0], vec![1.0]),
+            CsrError::Indptr { row: 0 }
+        );
+        assert_eq!(
+            err(vec![0, 2, 1, 2], vec![0, 1], vec![1.0, 2.0]),
+            CsrError::Indptr { row: 2 }
+        );
+        assert_eq!(
+            err(vec![0, 2], vec![0, 1, 2], vec![1.0, 2.0, 3.0]),
+            CsrError::Nnz {
+                indptr_end: 2,
+                indices: 3,
+                values: 3
+            }
+        );
+        assert_eq!(
+            err(vec![0, 2], vec![0, 1], vec![1.0]),
+            CsrError::Nnz {
+                indptr_end: 2,
+                indices: 2,
+                values: 1
+            }
+        );
+        let mut bad = indices;
+        bad[4] = 5;
+        assert_eq!(
+            err(indptr, bad, values),
+            CsrError::IndexOutOfRange {
+                position: 4,
+                index: 5,
+                dim: 5
+            }
+        );
     }
 }

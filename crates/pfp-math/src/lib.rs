@@ -52,7 +52,7 @@ pub mod sparse;
 pub mod stats;
 pub mod supervise;
 
-pub use csr::CsrMatrix;
+pub use csr::{CsrError, CsrMatrix};
 pub use dense::Matrix;
 pub use parallel::{PoolError, WorkerPool};
 pub use sparse::SparseVec;

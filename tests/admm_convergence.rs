@@ -177,8 +177,9 @@ fn sharded_solve_retraces_the_materialized_solve_bitwise() {
     }
 }
 
-/// End-to-end out-of-core training — the cohort regenerated from its seed on
-/// every evaluation, never materialized — must produce the *same model* as
+/// End-to-end out-of-core training — the cohort featurized once into
+/// blocks spilled to disk and read back on every evaluation, never
+/// materialized — must produce the *same model* as
 /// the classic generate → featurize → train pipeline, bit for bit.
 #[test]
 fn out_of_core_training_reproduces_materialized_training_bitwise() {

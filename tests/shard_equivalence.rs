@@ -15,9 +15,9 @@
 //! Shard sizes cover the degenerate corners (one sample per shard, shards
 //! larger than the cohort, a shard boundary exactly at the cohort size) and
 //! column widths cover all three blocked CSR kernels (K = 4, 8, 16) plus the
-//! generic fallback.  The fully out-of-core objective (regenerate +
-//! re-featurize per evaluation) is held to the same bitwise clause against
-//! the materialized pipeline on a real generated cohort.
+//! generic fallback.  The fully out-of-core objective (blocks spilled to a
+//! scratch file once, read back per evaluation) is held to the same bitwise
+//! clause against the materialized pipeline on a real generated cohort.
 
 use proptest::prelude::*;
 
@@ -223,8 +223,8 @@ proptest! {
     }
 }
 
-/// The fully out-of-core objective (regenerate + re-featurize per
-/// evaluation) against the materialized cohort → dataset → objective
+/// The fully out-of-core objective (blocks spilled to a scratch file once,
+/// read back per evaluation) against the materialized cohort → dataset → objective
 /// pipeline, on a real generated cohort: bitwise at fixed thread counts
 /// 1, 2 and 8, across shard sizes spanning "one patient at a time" to
 /// "whole cohort in one shard".
