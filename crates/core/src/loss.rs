@@ -37,8 +37,11 @@
 //! `value`, `gradient` and `value_and_gradient` all run the same fused fold.
 //! Each block is evaluated as one `CSR × Θ` scores pass, one softmax/residual
 //! sweep over the packed score block (accumulating the cross-entropy), and
-//! one `CSRᵀ` scatter — three linear passes over contiguous arrays, with the
-//! row kernels register-blocked over the `C + D` outputs.  The batched kernel
+//! one `CSRᵀ` scatter — three linear passes over contiguous arrays, with both
+//! row kernels register-blocked over the `C + D` outputs.  The sweep computes
+//! one log-sum-exp per head and reuses it for the loss and the softmax
+//! ([`softmax_cross_entropy_in_place`]): one max sweep, two `exp` sweeps and
+//! one `ln` per head instead of two, three and two.  The batched kernel
 //! performs the same floating-point operations in the same order as the
 //! per-sample reference walk ([`value_and_gradient_unbatched`]), so the two
 //! agree bitwise in serial (property-tested in
@@ -75,7 +78,7 @@ use pfp_math::parallel::{
     chunk_ranges, intersect_ranges, resolve_threads, tree_reduce_matrices, tree_reduce_sums,
     WorkerPool,
 };
-use pfp_math::softmax::{cross_entropy, softmax_in_place};
+use pfp_math::softmax::softmax_cross_entropy_in_place;
 use pfp_math::{CsrMatrix, Matrix};
 use pfp_optim::SmoothObjective;
 
@@ -138,8 +141,9 @@ fn fused_csr_block(
 
 /// Turn one sample's scores `Θ⊤ f` (destination head first) into its
 /// softmax residuals scaled by `wn`, in place, and return its unweighted
-/// two-head cross-entropy.  A single-class duration head contributes neither
-/// loss nor gradient.
+/// two-head cross-entropy.  Each head's loss and softmax share one
+/// log-sum-exp ([`softmax_cross_entropy_in_place`]).  A single-class duration
+/// head contributes neither loss nor gradient.
 fn residual_in_place(
     scores: &mut [f64],
     num_cus: usize,
@@ -148,14 +152,12 @@ fn residual_in_place(
     wn: f64,
 ) -> f64 {
     let (cu_scores, dur_scores) = scores.split_at_mut(num_cus);
-    let mut l = cross_entropy(cu_scores, cu_label);
-    softmax_in_place(cu_scores);
+    let mut l = softmax_cross_entropy_in_place(cu_scores, cu_label);
     for (c, out) in cu_scores.iter_mut().enumerate() {
         *out = wn * (*out - if c == cu_label { 1.0 } else { 0.0 });
     }
     if dur_scores.len() > 1 {
-        l += cross_entropy(dur_scores, duration_label);
-        softmax_in_place(dur_scores);
+        l += softmax_cross_entropy_in_place(dur_scores, duration_label);
         for (d, out) in dur_scores.iter_mut().enumerate() {
             *out = wn * (*out - if d == duration_label { 1.0 } else { 0.0 });
         }
@@ -889,6 +891,73 @@ mod tests {
         explicit.gradient(&theta, &mut b);
         assert_eq!(a, b);
         assert!(serial.value(&theta) == explicit.value(&theta));
+    }
+
+    /// FNV-1a over the little-endian bytes of every entry's bit pattern.
+    fn fingerprint(m: &Matrix) -> u64 {
+        m.as_slice()
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The fused pass pinned to recorded bits: any change to the
+    /// floating-point operations of the kernels, the residual or the
+    /// reduction fails here, even where a batched-vs-unbatched comparison
+    /// could not see it (both sides share `residual_in_place`).  Covers the blocked `C + D = 16`
+    /// width at 1 and 2 threads, unweighted and with WDMCP weights, a
+    /// generic width (`C + D = 3`), and a full `train`.
+    #[test]
+    fn fused_pass_matches_golden_bits() {
+        use crate::imbalance::sample_weights;
+        use crate::{train, Dataset, TrainConfig};
+        use pfp_ehr::{generate_cohort, CohortConfig};
+
+        let ds = Dataset::from_cohort(&generate_cohort(&CohortConfig::tiny(5)));
+        let samples = ds.featurize(ds.default_mcp_kind());
+        let (m, c, d) = (ds.total_feature_dim(), ds.num_cus, ds.num_durations);
+        let weights = sample_weights(&samples, c, d);
+        let theta = Matrix::from_fn(m, c + d, |r, k| ((r * 31 + k * 7) % 13) as f64 * 0.05 - 0.3);
+        let mut got = Vec::new();
+        for threads in [1, 2] {
+            for w in [None, Some(&weights[..])] {
+                let obj = DmcpObjective::new(&samples, w, m, c, d).with_threads(threads);
+                let mut grad = Matrix::zeros(m, c + d);
+                let value = obj.value_and_gradient(&theta, &mut grad);
+                got.push((value.to_bits(), fingerprint(&grad)));
+            }
+        }
+
+        let generic: Vec<Sample> = toy_samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut s)| {
+                s.features = SparseVec::from_pairs(3, vec![(0, 0.5 + i as f64), (2, -1.25)]);
+                s.duration_label = 0;
+                s
+            })
+            .collect();
+        let obj = DmcpObjective::new(&generic, None, 3, 2, 1);
+        let theta = Matrix::from_fn(3, 3, |r, k| 0.3 * (r as f64) - 0.2 * (k as f64));
+        let mut grad = Matrix::zeros(3, 3);
+        let value = obj.value_and_gradient(&theta, &mut grad);
+        got.push((value.to_bits(), fingerprint(&grad)));
+
+        let model = train(&ds, &TrainConfig::fast());
+
+        assert_eq!(
+            got,
+            [
+                (0x401b_c7c8_14cd_e1ef, 0xc80d_5233_2f4c_5cdd), // 1 thread
+                (0x401b_e0ab_ba2e_dc0b, 0xd6b3_9e84_fd94_3883), // 1 thread, WDMCP
+                (0x401b_c7c8_14cd_e1e9, 0x6f7f_5b50_f84b_1692), // 2 threads
+                (0x401b_e0ab_ba2e_dc09, 0xada2_bfc8_76f0_86b3), // 2 threads, WDMCP
+                (0x3fe9_ab39_216d_88f3, 0x9440_1447_0f7c_0c94), // C + D = 3
+            ]
+        );
+        assert_eq!(fingerprint(&model.theta), 0xe501_1254_2e05_1c1a);
     }
 
     #[test]

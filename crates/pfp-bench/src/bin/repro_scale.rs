@@ -18,10 +18,11 @@
 //!
 //! Phases (each with its own allocator-peak window):
 //!
-//! * `streaming` — [`train_streamed`]: the cohort is featurized once,
-//!   shard-by-shard, into CSR blocks spilled to a scratch file, and every
-//!   objective evaluation reads them back one block at a time; retained
-//!   state is a per-block index plus the solver matrices.
+//! * `streaming` — [`StreamingDmcpObjective::new`] + [`fit`], exactly what
+//!   [`train_streamed`](pfp_core::train_streamed) runs: the cohort is
+//!   featurized once, shard-by-shard, into CSR blocks spilled to a scratch
+//!   file, and every objective evaluation reads them back one block at a
+//!   time; retained state is a per-block index plus the solver matrices.
 //! * `sharded`   — [`ShardedSamples::stream_cohort`] + [`fit`] over
 //!   [`DmcpObjective::from_shards`]:
 //!   CSR shard blocks are built streamingly and retained in memory, so
@@ -39,7 +40,7 @@ use std::time::Instant;
 
 use pfp_bench::mem;
 use pfp_bench::render_table;
-use pfp_core::stream::{train_streamed, ShardedSamples};
+use pfp_core::stream::{ShardedSamples, StreamingDmcpObjective};
 use pfp_core::{fit, train, Dataset, DmcpModel, DmcpObjective, TrainConfig};
 use pfp_ehr::departments::PAPER_NUM_PATIENTS;
 use pfp_ehr::{generate_cohort, CohortConfig, FeatureDictionary};
@@ -189,27 +190,24 @@ fn main() {
 
     let mut phases: Vec<Phase> = Vec::new();
 
+    // `train_streamed`, spelled out so the objective can report the sample
+    // count it already holds.
+    let mut total_samples = 0;
     phases.push(run_phase("streaming", || {
-        train_streamed(&cohort_config, &train_config, args.shard_size)
+        let objective =
+            StreamingDmcpObjective::new(&cohort_config, train_config.feature_map, args.shard_size)
+                .with_threads(train_config.threads);
+        total_samples = objective.total_samples();
+        fit(&objective, objective.featurizer(), &train_config, None)
+            .expect("cold start cannot fail")
+            .model
     }));
-    let total_samples = {
-        // Cheap recount from the streamed model's already-verified setup:
-        // one generator sweep over the shards, for reporting.
-        let p = &phases[0];
-        println!(
-            "  streaming    : {:>8.1} MiB peak, {:>7.2} s",
-            mib(p.peak_bytes),
-            p.wall_s
-        );
-        pfp_ehr::CohortShards::new(&cohort_config, args.shard_size)
-            .map(|s| {
-                s.patients
-                    .iter()
-                    .map(|p| p.num_transitions())
-                    .sum::<usize>()
-            })
-            .sum::<usize>()
-    };
+    let p = &phases[0];
+    println!(
+        "  streaming    : {:>8.1} MiB peak, {:>7.2} s",
+        mib(p.peak_bytes),
+        p.wall_s
+    );
 
     if !args.no_sharded {
         phases.push(run_phase("sharded", || {

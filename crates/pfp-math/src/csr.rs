@@ -331,12 +331,48 @@ impl CsrMatrix {
     /// Rows are processed in increasing order and each row's updates land in
     /// the same order as [`SparseVec::scatter_gradient`] would produce, so
     /// the batched gradient is bitwise identical to the per-sample loop.
+    /// Register-blocked like [`accumulate_scores_range`](Self::accumulate_scores_range):
+    /// for `K = 4 / 8 / 16` the row's `contrib` slice is held in a fixed-size
+    /// stack array across its nonzero walk and every gradient row is a
+    /// fixed-width `K`-lane update, which the compiler unrolls and vectorises.
     ///
     /// # Panics
     /// Panics (debug) on shape mismatches.
     pub fn scatter_gradient_range(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         debug_assert_eq!(grad.rows(), self.dim);
         debug_assert_eq!(contrib.len(), range.len() * grad.cols());
+        match grad.cols() {
+            4 => self.scatter_blocked::<4>(contrib, range, grad),
+            8 => self.scatter_blocked::<8>(contrib, range, grad),
+            16 => self.scatter_blocked::<16>(contrib, range, grad),
+            _ => self.scatter_generic(contrib, range, grad),
+        }
+    }
+
+    fn scatter_blocked<const K: usize>(
+        &self,
+        contrib: &[f64],
+        range: Range<usize>,
+        grad: &mut Matrix,
+    ) {
+        let data = grad.as_mut_slice();
+        for (local, i) in range.enumerate() {
+            let (indices, values) = self.row(i);
+            let c: [f64; K] = contrib[local * K..(local + 1) * K]
+                .try_into()
+                .expect("a K-wide residual row");
+            for (&col, &v) in indices.iter().zip(values) {
+                let row: &mut [f64; K] = (&mut data[col as usize * K..col as usize * K + K])
+                    .try_into()
+                    .expect("a K-wide gradient row");
+                for k in 0..K {
+                    row[k] += v * c[k];
+                }
+            }
+        }
+    }
+
+    fn scatter_generic(&self, contrib: &[f64], range: Range<usize>, grad: &mut Matrix) {
         let cols = grad.cols();
         let data = grad.as_mut_slice();
         for (local, i) in range.enumerate() {
@@ -420,18 +456,32 @@ mod tests {
         }
     }
 
+    /// A range cut into two sub-ranges does the same work as the whole range,
+    /// bitwise, for both kernels and on the generic and blocked widths — the
+    /// segmentation the engine's shard equivalence relies on.
     #[test]
     fn sub_ranges_cover_the_same_work_as_the_full_range() {
         let rows = sample_rows();
         let csr = CsrMatrix::from_rows(5, rows.iter());
-        let cols = 4;
-        let theta = Matrix::from_fn(5, cols, |r, c| (r * cols + c) as f64 * 0.1);
-        let mut full = vec![0.0; rows.len() * cols];
-        csr.accumulate_scores_range(&theta, 0..rows.len(), &mut full);
-        let mut split = vec![0.0; rows.len() * cols];
-        csr.accumulate_scores_range(&theta, 0..2, &mut split[..2 * cols]);
-        csr.accumulate_scores_range(&theta, 2..4, &mut split[2 * cols..]);
-        assert_eq!(full, split);
+        let n = rows.len();
+        for cols in [3usize, 4, 8, 16] {
+            let theta = Matrix::from_fn(5, cols, |r, c| (r * cols + c) as f64 * 0.1);
+            let mut full = vec![0.0; n * cols];
+            csr.accumulate_scores_range(&theta, 0..n, &mut full);
+            let mut split = vec![0.0; n * cols];
+            csr.accumulate_scores_range(&theta, 0..2, &mut split[..2 * cols]);
+            csr.accumulate_scores_range(&theta, 2..n, &mut split[2 * cols..]);
+            assert_eq!(full, split, "scores, cols={cols}");
+
+            let contrib: Vec<f64> = (0..n * cols).map(|k| 0.3 - 0.07 * k as f64).collect();
+            let mut grad_full = Matrix::zeros(5, cols);
+            csr.scatter_gradient_range(&contrib, 0..n, &mut grad_full);
+            let mut grad_split = Matrix::zeros(5, cols);
+            csr.scatter_gradient_range(&contrib[..2 * cols], 0..2, &mut grad_split);
+            csr.scatter_gradient_range(&contrib[2 * cols..], 2..n, &mut grad_split);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad_full), bits(&grad_split), "scatter, cols={cols}");
+        }
     }
 
     #[test]

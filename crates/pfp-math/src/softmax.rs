@@ -23,6 +23,11 @@ pub fn log_sum_exp(scores: &[f64]) -> f64 {
 /// The result sums to 1 (up to floating error) and every entry is in `[0, 1]`.
 pub fn softmax_in_place(scores: &mut [f64]) {
     let lse = log_sum_exp(scores);
+    normalise_in_place(scores, lse);
+}
+
+/// Write `exp(x - lse)` over `scores`, where `lse = log_sum_exp(scores)`.
+fn normalise_in_place(scores: &mut [f64], lse: f64) {
     if !lse.is_finite() {
         // All scores were -inf (or the slice is empty): fall back to uniform.
         let n = scores.len().max(1) as f64;
@@ -30,6 +35,20 @@ pub fn softmax_in_place(scores: &mut [f64]) {
         return;
     }
     scores.iter_mut().for_each(|x| *x = (*x - lse).exp());
+}
+
+/// Cross-entropy of `target` and softmax in place from **one** log-sum-exp:
+/// returns `-(scores[target] - lse)`, then writes `exp(x - lse)` (uniform
+/// when `lse` is not finite).
+///
+/// Bitwise equal to [`cross_entropy`] followed by [`softmax_in_place`],
+/// non-finite inputs included, at half the max/`ln` sweeps and two thirds of
+/// the `exp` calls.
+pub fn softmax_cross_entropy_in_place(scores: &mut [f64], target: usize) -> f64 {
+    let lse = log_sum_exp(scores);
+    let loss = -(scores[target] - lse);
+    normalise_in_place(scores, lse);
+    loss
 }
 
 /// Softmax into a freshly-allocated vector.
@@ -114,6 +133,33 @@ mod tests {
     fn cross_entropy_of_uniform_is_log_k() {
         let ce = cross_entropy(&[0.0, 0.0, 0.0, 0.0], 2);
         assert!((ce - (4.0_f64).ln()).abs() < 1e-12);
+    }
+
+    /// The fused helper against the pair it replaces, bit for bit, on the
+    /// non-finite inputs that take `log_sum_exp`'s early return or reach
+    /// `softmax_in_place`'s uniform fallback.
+    #[test]
+    fn softmax_cross_entropy_matches_the_pair_on_edge_inputs() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let cases: [&[f64]; 5] = [
+            &[f64::NEG_INFINITY; 3],
+            &[0.5, inf, -1.0],
+            &[0.5, nan, -1.0],
+            &[2.5],
+            &[-1.0, 3.0, 0.25, 0.0],
+        ];
+        for scores in cases {
+            for target in 0..scores.len() {
+                let expected_loss = cross_entropy(scores, target);
+                let mut expected = scores.to_vec();
+                softmax_in_place(&mut expected);
+                let mut got = scores.to_vec();
+                let loss = softmax_cross_entropy_in_place(&mut got, target);
+                assert_eq!(loss.to_bits(), expected_loss.to_bits(), "{scores:?}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "{scores:?}");
+            }
+        }
     }
 
     #[test]

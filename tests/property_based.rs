@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use patient_flow::core::features::{FeatureMapKind, HistoryFeaturizer, HistoryStay};
 use patient_flow::ehr::departments::{duration_class, NUM_DURATION_CLASSES};
 use patient_flow::math::dense::solve_linear_system;
-use patient_flow::math::softmax::{argmax, cross_entropy, softmax};
+use patient_flow::math::softmax::{
+    argmax, cross_entropy, softmax, softmax_cross_entropy_in_place, softmax_in_place,
+};
 use patient_flow::math::{Matrix, SparseVec};
 use patient_flow::optim::prox::{group_soft_threshold, prox_group_lasso};
 
@@ -46,6 +48,35 @@ proptest! {
         prop_assert!(ce >= -1e-12);
         let shifted: Vec<f64> = scores.iter().map(|s| s + shift).collect();
         prop_assert!((cross_entropy(&shifted, target) - ce).abs() < 1e-8);
+    }
+
+    /// The one-lse helper the DMCP loss runs per head equals the
+    /// `cross_entropy` + `softmax_in_place` pair bit for bit, in the loss and
+    /// in the written slice, wide score ranges and a non-finite entry
+    /// (`special`: 0 none, 1 −∞, 2 +∞, 3 NaN) included.
+    #[test]
+    fn softmax_cross_entropy_equals_the_pair_bitwise(
+        scores in proptest::collection::vec(-800.0f64..800.0, 1..20),
+        target in 0usize..20,
+        at in 0usize..20,
+        special in 0u8..4,
+    ) {
+        let mut scores = scores;
+        let n = scores.len();
+        scores[at % n] = match special {
+            1 => f64::NEG_INFINITY,
+            2 => f64::INFINITY,
+            3 => f64::NAN,
+            _ => scores[at % n],
+        };
+        let target = target % n;
+        let expected_loss = cross_entropy(&scores, target);
+        let mut expected = scores.clone();
+        softmax_in_place(&mut expected);
+        let loss = softmax_cross_entropy_in_place(&mut scores, target);
+        prop_assert_eq!(loss.to_bits(), expected_loss.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&scores), bits(&expected));
     }
 
     /// The group soft-threshold never increases the norm and zeroes small rows.
